@@ -31,24 +31,21 @@ def _apply_thread_cap():
         os.environ.setdefault(var, cap)
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+def _positive(cast, noun: str):
+    """Argument type: a positive value of ``cast``."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}")
+        if value <= 0:
+            raise argparse.ArgumentTypeError("must be positive")
+        return value
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+_positive_float = _positive(float, "a number")
+_positive_int = _positive(int, "an integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,6 +131,35 @@ def _read_spec_doc(path: str | None) -> dict:
     return doc
 
 
+def _parse(what: str, parse, value):
+    """``parse(value)``, with a malformed value reported as a validation error."""
+    from .errors import ValidationError
+
+    try:
+        return parse(value)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"bad {what}: {exc}") from None
+
+
+def _field(doc: dict, key: str, parse, default=None):
+    """One parsed document field; it is required unless it has a default."""
+    from .errors import ValidationError
+
+    if key in doc:
+        return _parse(f"field {key!r}", parse, doc[key])
+    if default is None:
+        raise ValidationError(f"missing field {key!r}")
+    return default
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _merge_spec(defaults: dict, doc: dict, what: str) -> dict:
     from .errors import ValidationError
 
@@ -155,18 +181,18 @@ def cmd_model(ns) -> int:
 
     doc = _read_spec_doc(ns.spec)
     if ns.kind == "pool":
-        spec = PoolModelSpec.from_json(
-            _merge_spec(PoolModelSpec().to_json(), doc, "pool"))
+        spec = _parse("pool spec", PoolModelSpec.from_json,
+                      _merge_spec(PoolModelSpec().to_json(), doc, "pool"))
         model = build_pool_model(spec)
     elif ns.kind == "tcl":
-        spec = TclModelSpec.from_json(
-            _merge_spec(TclModelSpec().to_json(), doc, "tcl"))
+        spec = _parse("tcl spec", TclModelSpec.from_json,
+                      _merge_spec(TclModelSpec().to_json(), doc, "tcl"))
         model = build_tcl_model(spec, samples_per_state=ns.samples,
                                 seed=ns.seed)
     else:
         if ns.spec is None:
             raise ValidationError("custom models need --spec with entries/util")
-        model = _custom_model(doc)
+        model = _parse("custom spec", _custom_model, doc)
     save_model(model, ns.out)
     report = check_irreducible_aperiodic(model.p0)
     print(f"model kind={model.kind} states={model.dim} gamma={model.gamma:g}")
@@ -206,19 +232,13 @@ def _scaled_space(ns, base, space):
 
     import numpy as np
 
-    from .design import ipd_map, spd_map
+    from .design import _zero_direction
     from .errors import ValidationError
     from .markov import StateFunction
 
     if ns.util_scale == "auto":
         # sup norm of the exponent rate the chosen design kind would apply
-        if ns.kind == "spd":
-            rate = spd_map(base, space.util.values, anchor=space.anchor).values
-        elif ns.kind == "myopic":
-            rate = space.util.values
-        else:
-            rate = ipd_map(base, space.util.values, anchor=space.anchor).values
-        scale = float(np.abs(rate).max())
+        scale = float(np.abs(_zero_direction(ns.kind, base, space)).max())
         if scale <= 0.0:
             scale = 1.0
     else:
@@ -301,8 +321,7 @@ def cmd_analyze(ns) -> int:
 
 
 def _resolve(base_path: str, rel: str) -> str:
-    if os.path.isabs(rel):
-        return rel
+    """``rel`` relative to the directory of ``base_path`` (absolute paths pass)."""
     return os.path.join(os.path.dirname(os.path.abspath(base_path)), rel)
 
 
@@ -312,14 +331,14 @@ def _build_reference(doc: dict, steps: int):
     from .errors import ValidationError
 
     kind = doc.get("kind", "constant")
-    amp = float(doc.get("amplitude", 0.0))
+    amp = _field(doc, "amplitude", float, 0.0)
     if kind == "constant":
         return amp * np.ones(steps)
     if kind == "sine":
-        period = float(doc.get("period_steps", 100))
+        period = _field(doc, "period_steps", float, 100.0)
         return amp * np.sin(2.0 * np.pi * np.arange(steps) / period)
     if kind == "square":
-        period = float(doc.get("period_steps", 100))
+        period = _field(doc, "period_steps", float, 100.0)
         return amp * np.sign(np.sin(2.0 * np.pi * np.arange(steps) / period))
     raise ValidationError(f"unknown reference kind {kind!r}")
 
@@ -334,23 +353,23 @@ def cmd_simulate(ns) -> int:
                       meanfield_rollout, track, tracking_metrics)
 
     scenario = read_json(ns.scenario)
-    if scenario.get("payload") != "scenario":
+    if not isinstance(scenario, dict) or scenario.get("payload") != "scenario":
         raise ValidationError("not a scenario document")
     mode = scenario.get("mode", "constant")
-    period_s = float(scenario.get("period_s", 1.0))
-    seed = int(scenario.get("seed", 0))
+    period_s = _field(scenario, "period_s", float, 1.0)
+    seed = _field(scenario, "seed", int, 0)
     metrics_path = ns.metrics or (str(ns.out) + ".metrics.json")
 
     if mode == "trajectory":
         metrics = _simulate_trajectory(ns, scenario, seed)
     else:
-        family = load_family(_resolve(ns.scenario, scenario["family"]))
-        steps = int(scenario.get("steps", 500))
+        family = load_family(_resolve(ns.scenario, _field(scenario, "family", str)))
+        steps = _field(scenario, "steps", int, 500)
         if mode == "constant":
-            zeta = float(scenario.get("zeta", 0.0))
+            zeta = _field(scenario, "zeta", float, 0.0)
             if scenario.get("plant", "meanfield") == "fleet":
                 y, _ = fleet_rollout(family, zeta * np.ones(steps),
-                                     n=int(scenario.get("n", 1000)), seed=seed)
+                                     n=_field(scenario, "n", int, 1000), seed=seed)
             else:
                 y, _ = meanfield_rollout(family, zeta * np.ones(steps))
             signals = SignalSet(period_s=period_s, samples={
@@ -361,20 +380,18 @@ def cmd_simulate(ns) -> int:
                        "final_output": float(y[-1]),
                        "final_gap": float(abs(y[-1] - target))}
         elif mode == "track":
-            ref = _build_reference(scenario.get("reference", {}), steps)
-            cfg_doc = scenario.get("controller", {})
-            config = TrackingConfig(
-                kind=cfg_doc.get("kind", "pi"),
-                kp=cfg_doc.get("kp"), ki=cfg_doc.get("ki"),
-                zeta_limit=cfg_doc.get("zeta_limit"),
-                anti_windup=bool(cfg_doc.get("anti_windup", True)),
-            )
+            ref = _build_reference(_field(scenario, "reference", _object, {}), steps)
+            config = _parse("controller", lambda doc: TrackingConfig(
+                kind=doc.get("kind", "pi"), kp=doc.get("kp"), ki=doc.get("ki"),
+                zeta_limit=doc.get("zeta_limit"),
+                anti_windup=bool(doc.get("anti_windup", True)),
+            ), _field(scenario, "controller", _object, {}))
             signals = track(family, ref, config,
                             plant=scenario.get("plant", "meanfield"),
-                            n=int(scenario.get("n", 1000)), seed=seed,
+                            n=_field(scenario, "n", int, 1000), seed=seed,
                             period_s=period_s)
             metrics = tracking_metrics(signals,
-                                       settle=int(scenario.get("settle", 0)))
+                                       settle=_field(scenario, "settle", int, 0))
         else:
             raise ValidationError(f"unknown scenario mode {mode!r}")
         signals.to_csv(ns.out)
@@ -390,14 +407,15 @@ def _simulate_trajectory(ns, scenario: dict, seed: int) -> dict:
     from .design import load_family
     from .loads import TclModelSpec, tcl_trajectory, trajectory_to_csv
 
-    spec = TclModelSpec.from_json(
-        _merge_spec(TclModelSpec().to_json(), scenario.get("tcl", {}), "tcl"))
+    spec = _parse("tcl spec", TclModelSpec.from_json,
+                  _merge_spec(TclModelSpec().to_json(),
+                              _field(scenario, "tcl", _object, {}), "tcl"))
     family = None
     if "family" in scenario:
-        family = load_family(_resolve(ns.scenario, scenario["family"]))
-    traj = tcl_trajectory(spec, steps=int(scenario.get("steps", 10000)),
+        family = load_family(_resolve(ns.scenario, _field(scenario, "family", str)))
+    traj = tcl_trajectory(spec, steps=_field(scenario, "steps", int, 10000),
                           seed=seed, family=family,
-                          zeta=float(scenario.get("zeta", 0.0)))
+                          zeta=_field(scenario, "zeta", float, 0.0))
     trajectory_to_csv(traj, ns.out)
     print(f"wrote {ns.out}")
     return {

@@ -38,12 +38,13 @@ from .errors import (
 )
 from .fileio import FORMAT_VERSION, read_json, write_json
 from .markov import (
-    INVARIANT_TOL,
     Pmf,
     StateFunction,
     StochasticMatrix,
+    _checked_invariant_raw,
     _invariant_raw,
     _poisson_raw,
+    _reversal_raw,
     as_values,
     check_irreducible_aperiodic,
     geometric_mix,
@@ -207,6 +208,12 @@ def _tilt_raw(base: np.ndarray, support: np.ndarray, pair: np.ndarray):
     return tilted, log_norm
 
 
+def _tilt_at_h(base: StochasticMatrix, space: LoadStateSpace, h) -> np.ndarray:
+    """Entries of ``base`` tilted by the lift of the design function ``h``."""
+    tilted, _ = _tilt_raw(base.entries, base.support, lift_control(space, h))
+    return tilted
+
+
 def tilt(base: StochasticMatrix, pair) -> tuple[StochasticMatrix, NormalizerCache]:
     """Exponentially tilt ``base`` by the pair function ``pair``.
 
@@ -249,11 +256,7 @@ def spd_map(p: StochasticMatrix, util, anchor: int = 0,
     if pi is None:
         pi = invariant_pmf(p)
     w = pi.weights
-    if w.min() <= 0.0:
-        raise ZeroMass("invariant pmf has a zero entry; time reversal undefined")
-    rev = (w[None, :] * p.entries.T) / w[:, None]
-    rev /= rev.sum(axis=1, keepdims=True)
-    doubled = rev @ p.entries
+    doubled = _reversal_raw(p.entries, w) @ p.entries
     report = check_irreducible_aperiodic(StochasticMatrix(doubled))
     if not report.irreducible:
         raise AdjointProductReducible(
@@ -265,20 +268,28 @@ def spd_map(p: StochasticMatrix, util, anchor: int = 0,
     return StateFunction(h, units)
 
 
-def _ipd_rate(p_arr: np.ndarray, util: np.ndarray, anchor: int) -> np.ndarray:
+def _design_rate(kind: str, p_arr: np.ndarray, util: np.ndarray,
+                 anchor: int) -> np.ndarray:
+    """Unchecked design direction of an ODE kind at kernel ``p_arr``.
+
+    The system-perspective rule is the individual one applied to the
+    doubled kernel P-dagger P; both keep the invariant pmf of P.
+    """
     pi = _invariant_raw(p_arr)
     if pi.min() <= 0.0:
         raise ZeroMass("invariant pmf lost positivity during continuation")
+    if kind == "spd":
+        p_arr = _reversal_raw(p_arr, pi) @ p_arr
     return _poisson_raw(p_arr, pi, util, anchor)
 
 
-def _spd_rate(p_arr: np.ndarray, util: np.ndarray, anchor: int) -> np.ndarray:
-    pi = _invariant_raw(p_arr)
-    if pi.min() <= 0.0:
-        raise ZeroMass("invariant pmf lost positivity during continuation")
-    rev = (pi[None, :] * p_arr.T) / pi[:, None]
-    rev /= rev.sum(axis=1, keepdims=True)
-    return _poisson_raw(rev @ p_arr, pi, util, anchor)
+def _zero_direction(kind: str, base: StochasticMatrix,
+                    space: LoadStateSpace) -> np.ndarray:
+    """Checked design direction of ``kind`` at the base kernel (zero command)."""
+    if kind == "myopic":
+        return as_values(space.util, space.dim).copy()
+    design_map = spd_map if kind == "spd" else ipd_map
+    return design_map(base, space.util, anchor=space.anchor).values.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,26 +390,15 @@ class DesignFamily:
         # Support is constant along the family (tilting preserves it), so a
         # single connectivity check on the per-step kernel at the first grid
         # point covers every command value.
-        report = check_irreducible_aperiodic(self._kernel_index(0))
+        report = check_irreducible_aperiodic(self.kernel_at(zeta_grid[0]))
         if not report.irreducible:
             raise NotIrreducible("per-step kernel is not irreducible")
 
         pis = np.empty_like(h_grid)
         ubars = np.empty(len(zeta_grid))
-        for i in range(len(zeta_grid)):
-            kern = self._kernel_index(i)
-            pi = _invariant_raw(kern.entries)
-            resid = np.abs(pi @ kern.entries - pi).sum()
-            if resid > INVARIANT_TOL:
-                raise SingularSystem(
-                    f"invariant residual {resid:.3e} at command {zeta_grid[i]:g}"
-                )
-            if pi.min() < -INVARIANT_TOL:
-                raise SingularSystem(
-                    f"invariant pmf negative at command {zeta_grid[i]:g}"
-                )
-            pis[i] = np.maximum(pi, 0.0)
-            pis[i] /= pis[i].sum()
+        for i, zeta in enumerate(zeta_grid):
+            pis[i] = _checked_invariant_raw(self.kernel_at(zeta).entries,
+                                            f" at command {zeta:g}")
             ubars[i] = pis[i] @ util_values
         self.pis = pis
         self.pis.setflags(write=False)
@@ -435,30 +435,19 @@ class DesignFamily:
         """Lifted pair function driving the tilt at this command value."""
         return lift_control(self.space, self.h_at(zeta))
 
-    def jump_kernel_at(self, zeta: float) -> StochasticMatrix:
-        """Tilted kernel before any lazy composition."""
-        tilted, _ = _tilt_raw(self.base.entries, self.base.support, self.pair_at(zeta))
-        return StochasticMatrix(tilted)
-
-    def kernel_at(self, zeta: float) -> StochasticMatrix:
-        """Per-step kernel actually run by each load."""
-        jump = self.jump_kernel_at(zeta)
+    def _step_kernel(self, jump: StochasticMatrix) -> StochasticMatrix:
+        """Per-step kernel run by each load when ``jump`` is the jump kernel."""
         if self.structure.sampling == "composed":
             return geometric_mix(jump, self.structure.gamma)
         return jump
 
-    def _kernel_index(self, i: int) -> StochasticMatrix:
-        tilted, _ = _tilt_raw(self.base.entries, self.base.support,
-                              lift_control(self.space, self.h_grid[i]))
-        kern = StochasticMatrix(tilted)
-        if self.structure.sampling == "composed":
-            kern = geometric_mix(kern, self.structure.gamma)
-        return kern
+    def jump_kernel_at(self, zeta: float) -> StochasticMatrix:
+        """Tilted kernel before any lazy composition."""
+        return StochasticMatrix(_tilt_at_h(self.base, self.space, self.h_at(zeta)))
 
-    def log_normalizer_at(self, zeta: float) -> StateFunction:
-        _, _, log_norm = _log_normalizer_raw(self.base.entries, self.base.support,
-                                             self.pair_at(zeta))
-        return StateFunction(log_norm)
+    def kernel_at(self, zeta: float) -> StochasticMatrix:
+        """Per-step kernel actually run by each load."""
+        return self._step_kernel(self.jump_kernel_at(zeta))
 
     def pi_at(self, zeta: float) -> Pmf:
         i, frac = self._locate(zeta)
@@ -476,9 +465,8 @@ class DesignFamily:
         """Derivative of the design function in the command, d h / d zeta."""
         if self.kind in GENERATOR_KINDS:
             return self.generator.copy()
-        util = as_values(self.space.util)
-        rate = _ipd_rate if self.kind == "ipd" else _spd_rate
-        return rate(self.jump_kernel_at(zeta).entries, util, self.space.anchor)
+        return _design_rate(self.kind, self.jump_kernel_at(zeta).entries,
+                            as_values(self.space.util), self.space.anchor)
 
     def pair_rate_at(self, zeta: float) -> np.ndarray:
         """Lifted pair function of the command derivative of the design."""
@@ -541,6 +529,18 @@ def load_family(path) -> DesignFamily:
     return DesignFamily.from_json(read_json(path))
 
 
+def _command_grid(zeta_max: float, step: float) -> np.ndarray:
+    """Validated symmetric command grid step * (-n..n) with n * step = zeta_max."""
+    if step <= 0.0:
+        raise ValidationError("step must be positive")
+    if zeta_max < step:
+        raise ValidationError("zeta_max must be at least one step")
+    n = int(round(zeta_max / step))
+    if abs(n * step - zeta_max) > 1e-9 * max(1.0, zeta_max):
+        raise ValidationError("zeta_max must be an integer multiple of step")
+    return step * np.arange(-n, n + 1)
+
+
 def _rk4_step(h: np.ndarray, dt: float, rate) -> np.ndarray:
     k1 = rate(h)
     k2 = rate(h + 0.5 * dt * k1)
@@ -566,10 +566,7 @@ def solve_design_ode(base: StochasticMatrix, space: LoadStateSpace, kind: str,
     """
     if kind not in ODE_KINDS:
         raise ValidationError(f"design ODE kind must be one of {ODE_KINDS}")
-    if step <= 0.0:
-        raise ValidationError("step must be positive")
-    if zeta_max < step:
-        raise ValidationError("zeta_max must be at least one step")
+    zeta_grid = _command_grid(zeta_max, step)
     if structure is None:
         structure = FamilyStructure(has_exogenous=space.n_exo > 1)
     if not base.is_square or base.dim != space.dim:
@@ -586,24 +583,16 @@ def solve_design_ode(base: StochasticMatrix, space: LoadStateSpace, kind: str,
         )
 
     util = as_values(space.util, space.dim)
-    rate_raw = _ipd_rate if kind == "ipd" else _spd_rate
-    base_arr, support = base.entries, base.support
-    anchor = space.anchor
 
     def rate(h):
-        pair = lift_control(space, h)
-        tilted, _ = _tilt_raw(base_arr, support, pair)
-        return rate_raw(tilted, util, anchor)
+        return _design_rate(kind, _tilt_at_h(base, space, h), util, space.anchor)
 
     if kind == "spd":
         # Fail fast (and unwrapped) when the doubled kernel is structurally
         # unusable; reducibility does not change along the family.
-        spd_map(base, space.util, anchor=anchor)
+        spd_map(base, space.util, anchor=space.anchor)
 
-    n = int(round(zeta_max / step))
-    if abs(n * step - zeta_max) > 1e-9 * max(1.0, zeta_max):
-        raise ValidationError("zeta_max must be an integer multiple of step")
-
+    n = len(zeta_grid) // 2
     zero = np.zeros(space.dim)
     forward = [zero]
     backward = [zero]
@@ -624,7 +613,6 @@ def solve_design_ode(base: StochasticMatrix, space: LoadStateSpace, kind: str,
             branch.append(h)
 
     h_grid = np.vstack([backward[n:0:-1], forward])
-    zeta_grid = step * np.arange(-n, n + 1)
     return DesignFamily(
         space, base, kind, structure, zeta_grid, h_grid,
         model_hash=model_hash,
@@ -647,10 +635,7 @@ def build_exponential_family(base: StochasticMatrix, space: LoadStateSpace,
     """
     if kind not in GENERATOR_KINDS:
         raise ValidationError(f"exponential family kind must be one of {GENERATOR_KINDS}")
-    if step <= 0.0:
-        raise ValidationError("step must be positive")
-    if zeta_max < step:
-        raise ValidationError("zeta_max must be at least one step")
+    zeta_grid = _command_grid(zeta_max, step)
     if structure is None:
         structure = FamilyStructure(has_exogenous=space.n_exo > 1)
     if kind == "custom":
@@ -659,14 +644,8 @@ def build_exponential_family(base: StochasticMatrix, space: LoadStateSpace,
         gen = np.asarray(as_values(generator, space.dim), dtype=float).copy()
     elif generator is not None:
         raise ValidationError(f"kind {kind!r} computes its own generator")
-    elif kind == "myopic":
-        gen = as_values(space.util, space.dim).copy()
     else:
-        gen = ipd_map(base, space.util, anchor=space.anchor).values.copy()
-    n = int(round(zeta_max / step))
-    if abs(n * step - zeta_max) > 1e-9 * max(1.0, zeta_max):
-        raise ValidationError("zeta_max must be an integer multiple of step")
-    zeta_grid = step * np.arange(-n, n + 1)
+        gen = _zero_direction(kind, base, space)
     h_grid = zeta_grid[:, None] * gen[None, :]
     return DesignFamily(
         space, base, kind, structure, zeta_grid, h_grid, generator=gen,

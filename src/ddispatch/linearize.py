@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NearSingular, UnstablePole, ValidationError, ZeroMass
+from .errors import NearSingular, UnstablePole, ValidationError
 from .fileio import atomic_write_text
-from .markov import Pmf, StochasticMatrix, as_values, _frozen
+from .markov import Pmf, StochasticMatrix, as_values, _frozen, _reversal_raw
 
 __all__ = [
     "LinearModel",
@@ -71,10 +71,21 @@ def family_kernel_derivative(family, zeta: float) -> np.ndarray:
     For composed families the per-step kernel is a lazy mix, so the jump
     kernel derivative is scaled by the sampling rate.
     """
-    deriv = kernel_derivative(family.jump_kernel_at(zeta), family.pair_rate_at(zeta))
+    return _per_step_rate(family, kernel_derivative(family.jump_kernel_at(zeta),
+                                                    family.pair_rate_at(zeta)))
+
+
+def _per_step_rate(family, jump_rate):
+    """Scale a jump-kernel derivative by the sampling rate of composed families."""
     if family.structure.sampling == "composed":
-        deriv = family.structure.gamma * deriv
-    return deriv
+        return family.structure.gamma * jump_rate
+    return jump_rate
+
+
+def _successor_only(pair: np.ndarray) -> bool:
+    """Whether a pair function depends on the successor state only."""
+    scale = max(1.0, np.abs(pair).max())
+    return bool(np.abs(pair - pair[0]).max() <= 1e-12 * scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,12 +106,9 @@ class LinearModel:
     pi: Pmf
 
     def __post_init__(self):
-        a = _frozen(self.a)
-        b = _frozen(self.b)
-        c = _frozen(self.c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        a, b, c = self.a, self.b, self.c
         d = len(self.pi.weights)
         if a.shape != (d, d) or b.shape != (d,) or c.shape != (d,):
             raise ValidationError("model dimensions disagree")
@@ -126,19 +134,19 @@ class LinearModel:
 
 def linearize(family, zeta: float) -> LinearModel:
     """Linear response model of a design family at one command value."""
-    kern = family.kernel_at(zeta)
+    jump = family.jump_kernel_at(zeta)
+    kern = family._step_kernel(jump)
     pi = family.pi_at(zeta)
+    pair = family.pair_rate_at(zeta)
     util = as_values(family.space.util, kern.dim)
     ctr = util - float(pi.mean(util))
     sigma2 = float(pi.weights @ ctr ** 2)
-    deriv = family_kernel_derivative(family, zeta)
+    deriv = _per_step_rate(family, kernel_derivative(jump, pair))
     b = deriv.T @ pi.weights
     model = LinearModel(a=kern.entries.T.copy(), b=b, c=ctr,
                         sigma2=sigma2, zeta=zeta, pi=pi)
-    pair = family.pair_rate_at(zeta)
-    scale = max(1.0, np.abs(pair).max())
-    if np.abs(pair - pair[0]).max() <= 1e-12 * scale and pi.weights.min() > 0.0:
-        alt = b_adjoint_form(family, zeta)
+    if _successor_only(pair) and pi.weights.min() > 0.0:
+        alt = _b_adjoint(family, jump.entries, pair, pi.weights)
         gap = np.abs(alt - b).max()
         if gap > 1e-10 * max(1.0, np.abs(b).max()):
             raise ValidationError(
@@ -158,22 +166,18 @@ def b_adjoint_form(family, zeta: float) -> np.ndarray:
     sampling rate for composed families.  Pure matrix algebra; no solves.
     """
     pair = family.pair_rate_at(zeta)
-    scale = max(1.0, np.abs(pair).max())
-    if np.abs(pair - pair[0]).max() > 1e-12 * scale:
+    if not _successor_only(pair):
         raise ValidationError(
             "time-reversal form needs a rate depending on the successor only"
         )
+    return _b_adjoint(family, family.jump_kernel_at(zeta).entries, pair,
+                      family.pi_at(zeta).weights)
+
+
+def _b_adjoint(family, s: np.ndarray, pair: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Time-reversal form of b from the jump kernel, rate pair and pmf."""
     h = pair[0]
-    s = family.jump_kernel_at(zeta).entries
-    w = family.pi_at(zeta).weights
-    if w.min() <= 0.0:
-        raise ZeroMass("invariant pmf has a zero entry; time reversal undefined")
-    rev = (w[None, :] * s.T) / w[:, None]
-    rev /= rev.sum(axis=1, keepdims=True)
-    out = w * (h - rev @ (s @ h))
-    if family.structure.sampling == "composed":
-        out = family.structure.gamma * out
-    return out
+    return _per_step_rate(family, w * (h - _reversal_raw(s, w) @ (s @ h)))
 
 
 def _deflated_solve(model: LinearModel, z: complex) -> np.ndarray:

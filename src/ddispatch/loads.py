@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -79,11 +79,7 @@ class PoolModelSpec:
         return 2 * self.rungs
 
     def to_json(self) -> dict:
-        return {
-            "rungs": self.rungs, "cycle_hours": self.cycle_hours,
-            "gamma": self.gamma, "slot_minutes": self.slot_minutes,
-            "power_kw": self.power_kw, "hazard_shape": self.hazard_shape,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "PoolModelSpec":
@@ -351,16 +347,7 @@ class TclModelSpec:
         return self.band_low + self.lattice_step * np.arange(self.cells)
 
     def to_json(self) -> dict:
-        return {
-            "theta_set": self.theta_set, "band_low": self.band_low,
-            "band_high": self.band_high, "theta_a": self.theta_a,
-            "resistance": self.resistance, "capacitance": self.capacitance,
-            "power_kw": self.power_kw, "state_count": self.state_count,
-            "lattice_step": self.lattice_step, "sigma": self.sigma,
-            "rho": self.rho, "sample_period_s": self.sample_period_s,
-            "noise_var": self.noise_var, "gamma": self.gamma,
-            "broadcast_period_s": self.broadcast_period_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "TclModelSpec":

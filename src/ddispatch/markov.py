@@ -206,6 +206,15 @@ def check_irreducible_aperiodic(p: StochasticMatrix) -> StructureReport:
     return StructureReport(irreducible=irreducible, aperiodic=aperiodic)
 
 
+def _refined_solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """Dense solve of a x = b; one refinement step brings the residual near eps."""
+    try:
+        x = np.linalg.solve(a, b)
+        return x + np.linalg.solve(a, b - a @ x)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"{what} solve failed: {exc}") from exc
+
+
 def _invariant_raw(p: np.ndarray) -> np.ndarray:
     """Solve pi P = pi, sum(pi) = 1 by replacing one balance equation."""
     d = p.shape[0]
@@ -213,17 +222,24 @@ def _invariant_raw(p: np.ndarray) -> np.ndarray:
     a[-1, :] = 1.0
     b = np.zeros(d)
     b[-1] = 1.0
-    try:
-        w = np.linalg.solve(a, b)
-        # one step of iterative refinement tightens the residual to near eps
-        r = b - a @ w
-        w = w + np.linalg.solve(a, r)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"invariant solve failed: {exc}") from exc
+    w = _refined_solve(a, b, "invariant")
     s = w.sum()
     if s <= 0 or not np.isfinite(s):
         raise SingularSystem("invariant solve produced a non-normalizable vector")
     return w / s
+
+
+def _checked_invariant_raw(p: np.ndarray, where: str = "") -> np.ndarray:
+    """Invariant weights, residual and sign checked (``where`` tags errors)."""
+    w = _invariant_raw(p)
+    residual = np.abs(w @ p - w).sum()
+    if residual > INVARIANT_TOL:
+        raise SingularSystem(
+            f"invariant residual {residual:.3e} exceeds {INVARIANT_TOL:.1e}{where}")
+    if w.min() < -PMF_TOL:
+        raise SingularSystem(f"invariant solve produced weight {w.min():.3e} < 0{where}")
+    w = np.maximum(w, 0.0)
+    return w / w.sum()
 
 
 def invariant_pmf(p: StochasticMatrix) -> Pmf:
@@ -235,13 +251,7 @@ def invariant_pmf(p: StochasticMatrix) -> Pmf:
     _require_square(p, "invariant pmf")
     if not check_irreducible_aperiodic(p).irreducible:
         raise NotIrreducible("invariant pmf needs an irreducible chain")
-    w = _invariant_raw(p.entries)
-    residual = np.abs(w @ p.entries - w).sum()
-    if residual > INVARIANT_TOL:
-        raise SingularSystem(f"invariant residual {residual:.3e} exceeds {INVARIANT_TOL:.1e}")
-    if w.min() < -PMF_TOL:
-        raise SingularSystem(f"invariant solve produced weight {w.min():.3e} < 0")
-    return Pmf(np.maximum(w, 0.0) / np.maximum(w, 0.0).sum())
+    return Pmf(_checked_invariant_raw(p.entries))
 
 
 def fundamental_matrix(p: StochasticMatrix, pi: Pmf) -> np.ndarray:
@@ -270,12 +280,15 @@ def adjoint(p: StochasticMatrix, pi: Pmf) -> StochasticMatrix:
     invariant pmf the renormalization is a no-op.
     """
     _require_square(p, "adjoint")
-    w = pi.weights
+    return StochasticMatrix(_reversal_raw(p.entries, pi.weights))
+
+
+def _reversal_raw(p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Time reversal w(y) P(y, x) / w(x) with rows renormalized."""
     if w.min() <= 0.0:
-        raise ZeroMass("adjoint undefined when some state has zero mass")
-    rev = w[None, :] * p.entries.T / w[:, None]
-    rev = rev / rev.sum(axis=1, keepdims=True)
-    return StochasticMatrix(rev)
+        raise ZeroMass("invariant pmf has a zero entry; time reversal undefined")
+    rev = (w[None, :] * p.T) / w[:, None]
+    return rev / rev.sum(axis=1, keepdims=True)
 
 
 def adjoint_product(p: StochasticMatrix, pi: Pmf) -> StochasticMatrix:
@@ -306,11 +319,7 @@ def _poisson_raw(p: np.ndarray, pi: np.ndarray, f: np.ndarray, anchor: int) -> n
     """
     d = p.shape[0]
     m = np.eye(d) - p + np.outer(np.ones(d), pi)
-    try:
-        h = np.linalg.solve(m, f)
-        h = h + np.linalg.solve(m, f - m @ h)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"poisson solve failed: {exc}") from exc
+    h = _refined_solve(m, f, "poisson")
     return h - h[anchor]
 
 

@@ -1,9 +1,17 @@
 """Shared builders for the test suite."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ddispatch.markov import StochasticMatrix
+
+# child interpreters (``python -m ddispatch``) import the same source tree
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def random_chain(rng, d, min_entry=0.0):

@@ -68,6 +68,13 @@ class TestModel:
                     "--out", out]) == 0
         assert load_model(out).dim == 48
 
+    def test_non_numeric_spec_field(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        write_json(spec, {"rungs": "x"})
+        assert run(["model", "--kind", "pool", "--spec", spec,
+                    "--out", tmp_path / "x.json"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_spec_field(self, tmp_path):
         spec = tmp_path / "spec.json"
         write_json(spec, {"rung_count": 24})
@@ -270,6 +277,23 @@ class TestSimulate:
         write_json(scenario, {"payload": "nope"})
         assert run(["simulate", "--scenario", scenario,
                     "--out", tmp_path / "x.csv"]) == 3
+
+    @pytest.mark.parametrize("doc", [
+        {"mode": "constant"},
+        {"mode": "constant", "family": None, "steps": "abc"},
+        [{"payload": "scenario"}],
+        {"mode": "track", "family": None, "controller": [1]},
+    ], ids=["no_family", "steps_not_integer", "top_level_list", "controller_list"])
+    def test_malformed_scenario(self, workdir, tmp_path, capsys, doc):
+        if isinstance(doc, dict):
+            doc = dict(doc, format_version=1, payload="scenario")
+            if "family" in doc:
+                doc["family"] = str(workdir["family"])
+        scenario = tmp_path / "s.json"
+        write_json(scenario, doc)
+        assert run(["simulate", "--scenario", scenario,
+                    "--out", tmp_path / "x.csv"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_family(self, tmp_path):
         scenario = tmp_path / "s.json"

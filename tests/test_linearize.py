@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ddispatch.design import (
+    DesignFamily,
     LoadStateSpace,
     build_exponential_family,
     geometric_compose,
@@ -24,6 +25,7 @@ from ddispatch.linearize import (
     psd,
     transfer_eval,
 )
+from ddispatch.loads import PoolModelSpec, build_pool_model, synthesis_inputs
 from ddispatch.markov import Pmf, StateFunction, StochasticMatrix, invariant_pmf
 
 from conftest import random_chain, two_state
@@ -159,6 +161,20 @@ class TestAdjointForm:
         np.testing.assert_allclose(model.b,
                                    (1.0 / 3.0) * linearize(fam, 0.25).b,
                                    atol=1e-13)
+
+    def test_linearize_evaluates_design_rate_once(self, monkeypatch):
+        # the rate feeds both b and the time-reversal cross-check; on an ODE
+        # family each evaluation is an invariant solve plus a Poisson solve
+        model = build_pool_model(PoolModelSpec(rungs=8, slot_minutes=30.0))
+        base, structure = synthesis_inputs(model, "compose")
+        fam = solve_design_ode(base, model.space, "ipd", 0.1, step=0.05,
+                               structure=structure)
+        calls = []
+        h_rate_at = DesignFamily.h_rate_at
+        monkeypatch.setattr(DesignFamily, "h_rate_at",
+                            lambda self, zeta: calls.append(zeta) or h_rate_at(self, zeta))
+        linearize(fam, 0.05)
+        assert calls == [0.05]
 
     def test_rejects_predecessor_dependent_rate(self, rng):
         # exogenous noise kernels vary with the current state, so the lifted
