@@ -1,11 +1,11 @@
 """Command line front end: build load models, synthesize design families,
 analyze their linearizations, run simulations, and decompose signals.
 
-Heavy numeric imports happen inside the command handlers so the thread cap
-from ``DDISPATCH_THREADS`` can be applied to the linear algebra backend
-before it loads.  Exit codes are stable: 0 success, 2 argument or parse
-problems, 3 validation failures, 4 mathematical preconditions not met,
-5 design continuation divergence.
+The package applies the thread cap from ``DDISPATCH_THREADS`` as its first
+step on import, before numpy loads its linear algebra backend, so the cap
+holds for ``python -m ddispatch`` and the console script alike.  Exit codes
+are stable: 0 success, 2 argument or parse problems, 3 validation failures,
+4 mathematical preconditions not met, 5 design continuation divergence.
 """
 
 from __future__ import annotations
@@ -132,13 +132,16 @@ def _read_spec_doc(path: str | None) -> dict:
 
 
 def _parse(what: str, parse, value):
-    """``parse(value)``, with a malformed value reported as a validation error."""
+    """``parse(value)``, with a malformed value reported as a validation error
+    (malformed JSON stays a parse error)."""
     from .errors import ValidationError
 
     try:
         return parse(value)
-    except ValidationError:
+    except (ValidationError, json.JSONDecodeError):
         raise
+    except KeyError as exc:
+        raise ValidationError(f"bad {what}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad {what}: {exc}") from None
 
@@ -265,7 +268,7 @@ def cmd_design(ns) -> int:
     from .design import build_exponential_family, save_family, solve_design_ode
     from .loads import load_model, synthesis_inputs
 
-    model = load_model(ns.model)
+    model = _parse("model document", load_model, ns.model)
     base, structure = synthesis_inputs(model, ns.route)
     space, scale = _scaled_space(ns, base, model.space)
     if scale != 1.0:
@@ -296,7 +299,7 @@ def cmd_analyze(ns) -> int:
     from .fileio import write_json
     from .linearize import bode_export, linearize, positive_real_check
 
-    family = load_family(ns.family)
+    family = _parse("family document", load_family, ns.family)
     responses = []
     results = []
     for z in ns.zeta:
@@ -363,7 +366,8 @@ def cmd_simulate(ns) -> int:
     if mode == "trajectory":
         metrics = _simulate_trajectory(ns, scenario, seed)
     else:
-        family = load_family(_resolve(ns.scenario, _field(scenario, "family", str)))
+        family = _parse("family document", load_family,
+                        _resolve(ns.scenario, _field(scenario, "family", str)))
         steps = _field(scenario, "steps", int, 500)
         if mode == "constant":
             zeta = _field(scenario, "zeta", float, 0.0)
@@ -412,7 +416,8 @@ def _simulate_trajectory(ns, scenario: dict, seed: int) -> dict:
                               _field(scenario, "tcl", _object, {}), "tcl"))
     family = None
     if "family" in scenario:
-        family = load_family(_resolve(ns.scenario, _field(scenario, "family", str)))
+        family = _parse("family document", load_family,
+                        _resolve(ns.scenario, _field(scenario, "family", str)))
     traj = tcl_trajectory(spec, steps=_field(scenario, "steps", int, 10000),
                           seed=seed, family=family,
                           zeta=_field(scenario, "zeta", float, 0.0))

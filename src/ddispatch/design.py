@@ -501,7 +501,7 @@ class DesignFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DesignFamily":
-        if doc.get("payload") != "design-family":
+        if not isinstance(doc, dict) or doc.get("payload") != "design-family":
             raise ValidationError("not a design family document")
         if int(doc.get("format_version", -1)) != FORMAT_VERSION:
             raise ValidationError(

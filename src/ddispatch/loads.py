@@ -193,7 +193,7 @@ class LoadModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LoadModel":
-        if doc.get("payload") != "load-model":
+        if not isinstance(doc, dict) or doc.get("payload") != "load-model":
             raise ValidationError("not a load model document")
         if int(doc.get("format_version", -1)) != FORMAT_VERSION:
             raise ValidationError(

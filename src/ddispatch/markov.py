@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     NotIrreducible,
@@ -152,32 +150,85 @@ def _require_square(p: StochasticMatrix, what: str):
         raise ValidationError(f"{what} needs a square kernel, got shape {p.shape}")
 
 
-def _component_period(mask: np.ndarray, nodes: np.ndarray) -> int:
+def _adjacency(mask: np.ndarray) -> list[list[int]]:
+    """Successor lists of a square boolean mask, one per row."""
+    rows, cols = np.nonzero(mask)
+    ends = np.cumsum(np.bincount(rows, minlength=mask.shape[0])).tolist()
+    cols = cols.tolist()
+    return [cols[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _strong_components(adj: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of a digraph, by Tarjan's algorithm.
+
+    Iterative, so deep graphs cannot exhaust the recursion limit; each node
+    and each edge is visited once.
+    """
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, succ = work[-1]
+            for w in succ:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(adj[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
+
+
+def _component_period(adj: list[list[int]], nodes: list[int]) -> int:
     """Gcd of cycle lengths inside one strongly connected component.
 
     Breadth-first levels from an arbitrary root; every edge u -> v inside the
     component satisfies level[v] <= level[u] + 1, and the gcd of the slacks
     level[u] + 1 - level[v] over all internal edges equals the period.
     """
-    inside = np.zeros(mask.shape[0], dtype=bool)
-    inside[nodes] = True
-    level = {int(nodes[0]): 0}
-    frontier = [int(nodes[0])]
+    inside = set(nodes)
+    level = {nodes[0]: 0}
+    frontier = [nodes[0]]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in np.nonzero(mask[u])[0]:
-                v = int(v)
-                if inside[v] and v not in level:
+            for v in adj[u]:
+                if v in inside and v not in level:
                     level[v] = level[u] + 1
                     nxt.append(v)
         frontier = nxt
     g = 0
     for u in nodes:
-        u = int(u)
-        for v in np.nonzero(mask[u])[0]:
-            v = int(v)
-            if inside[v]:
+        for v in adj[u]:
+            if v in inside:
                 g = math.gcd(g, level[u] + 1 - level[v])
     return g
 
@@ -190,20 +241,16 @@ def check_irreducible_aperiodic(p: StochasticMatrix) -> StructureReport:
     this is the usual notion of aperiodicity.
     """
     _require_square(p, "structure check")
-    mask = p.support
-    n_comp, labels = connected_components(
-        sparse.csr_matrix(mask), directed=True, connection="strong"
-    )
-    irreducible = bool(n_comp == 1)
+    adj = _adjacency(p.support)
+    comps = _strong_components(adj)
     aperiodic = True
-    for c in range(n_comp):
-        nodes = np.nonzero(labels == c)[0]
-        if nodes.size == 1 and not mask[nodes[0], nodes[0]]:
+    for nodes in comps:
+        if len(nodes) == 1 and nodes[0] not in adj[nodes[0]]:
             continue  # transient singleton, no cycle through it
-        if _component_period(mask, nodes) != 1:
+        if _component_period(adj, nodes) != 1:
             aperiodic = False
             break
-    return StructureReport(irreducible=irreducible, aperiodic=aperiodic)
+    return StructureReport(irreducible=len(comps) == 1, aperiodic=aperiodic)
 
 
 def _refined_solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:

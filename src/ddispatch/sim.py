@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
 from .errors import BadCutoffs, ValidationError
 from .fileio import FORMAT_VERSION, atomic_write_text
@@ -204,14 +203,36 @@ def fleet_step(state: FleetState, zeta: float, family, rng) -> tuple[FleetState,
     for a given stream and N = 1 reduces to a textbook chain sampler.
     Returns the new fleet and its average power.
     """
-    p = family.kernel_at(zeta)
-    cum = np.cumsum(p.entries, axis=1)
+    cum = np.cumsum(family.kernel_at(zeta).entries, axis=1)
     u = rng.random(state.n)
-    nxt = (cum[state.states] < u[:, None]).sum(axis=1)
-    np.minimum(nxt, family.space.dim - 1, out=nxt)
+    nxt = _inverse_transform(cum, state.states, u)
     out = FleetState(nxt)
     util = as_values(family.space.util, family.space.dim)
     return out, float(util[nxt].mean())
+
+
+def _inverse_transform(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per agent, the count of entries of its row of ``cum`` below its ``u``,
+    capped at d - 1 so dust in the row sum cannot leave the state space.
+
+    Rows of ``cum`` are cumulative sums of nonnegative entries, hence
+    nondecreasing, so the count is found by a branch-free binary search:
+    one gather of N entries per bit of d instead of an N x d compare.  The
+    last column is replaced by +inf, which is the cap, and the table is
+    padded with +inf to a power-of-two width.
+    """
+    d = cum.shape[1]
+    width = 1 << (d - 1).bit_length()
+    table = np.full((d, width), np.inf)
+    table[:, :d - 1] = cum[:, :d - 1]
+    flat = table.ravel()
+    start = rows * width
+    pos = start.copy()
+    step = width >> 1
+    while step:
+        pos += step * (flat[pos + (step - 1)] < u)
+        step >>= 1
+    return pos - start
 
 
 def fleet_rollout(family, zetas, n: int, seed: int, mu0: Pmf | None = None):
@@ -337,9 +358,16 @@ def tracking_metrics(signals: SignalSet, settle: int = 0) -> dict:
 
 
 def _causal_lowpass(values: np.ndarray, cutoff_hz: float, period_s: float) -> np.ndarray:
+    """First-order smoother y[n] = a x[n] + (1 - a) y[n-1] from y[-1] = 0."""
     rc = 1.0 / (2.0 * math.pi * cutoff_hz)
     alpha = period_s / (rc + period_s)
-    return _signal.lfilter([alpha], [1.0, -(1.0 - alpha)], values)
+    keep = 1.0 - alpha
+    out = []
+    y = 0.0
+    for x in values.tolist():
+        y = alpha * x + keep * y
+        out.append(y)
+    return np.array(out)
 
 
 def frequency_decompose(values, lp_cutoff_hz: float, hp_cutoff_hz: float,

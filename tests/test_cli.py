@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -135,6 +136,14 @@ class TestDesign:
         assert run(["design", "--model", tmp_path / "no.json", "--kind", "ipd",
                     "--zeta-max", "0.5", "--out", tmp_path / "f.json"]) == 2
 
+    def test_model_without_kind(self, workdir, tmp_path, capsys):
+        doc = read_json(workdir["model"])
+        del doc["kind"]
+        write_json(tmp_path / "m.json", doc)
+        assert run(["design", "--model", tmp_path / "m.json", "--kind", "ipd",
+                    "--zeta-max", "0.5", "--out", tmp_path / "f.json"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_spd_on_cycle_rejected(self, tmp_path, capsys):
         spec = tmp_path / "cycle.json"
         write_json(spec, {
@@ -217,6 +226,22 @@ class TestAnalyze:
     def test_zeta_required(self, workdir, tmp_path):
         assert run(["analyze", "--family", workdir["family"],
                     "--out", tmp_path / "b.csv"]) == 2
+
+    @pytest.mark.parametrize("key,value", [
+        ("kind", None),
+        ("format_version", "x"),
+        ("zeta_grid", "abc"),
+    ], ids=["no_kind", "format_version_text", "zeta_grid_text"])
+    def test_malformed_family(self, workdir, tmp_path, capsys, key, value):
+        doc = read_json(workdir["family"])
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        write_json(tmp_path / "f.json", doc)
+        assert run(["analyze", "--family", tmp_path / "f.json", "--zeta", "0",
+                    "--out", tmp_path / "b.csv"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -357,3 +382,35 @@ class TestEntryPoint:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert "decompose" in proc.stdout
+
+    def test_thread_cap_applies_on_import(self):
+        # numpy reads the BLAS variables when it loads, so the package must
+        # set them before it imports numpy, not when main() runs
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env["DDISPATCH_THREADS"] = "3"
+        code = ("import os, sys; import ddispatch; "
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["3", "True"]
+
+    def test_import_graph_has_no_scipy(self):
+        code = "\n".join([
+            "import runpy, sys",
+            "import ddispatch",
+            "sys.argv = ['ddispatch', '--help']",
+            "try:",
+            "    runpy.run_module('ddispatch', run_name='__main__')",
+            "except SystemExit as exc:",
+            "    assert exc.code == 0, exc.code",
+            "print('loaded:', [m for m in sys.modules",
+            "                  if m == 'scipy' or m.startswith('scipy.')])",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "decompose" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "loaded: []"

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -121,6 +122,52 @@ class TestFleet:
             s = min(int((cum < rng2.random(1)[0]).sum()), d - 1)
             naive_path.append(s)
         assert lib_path == naive_path
+
+    @staticmethod
+    def _step_with_draws(p, states, u):
+        """fleet_step on kernel ``p`` with the uniform draws ``u`` imposed."""
+        d = p.shape[0]
+        family = SimpleNamespace(
+            kernel_at=lambda zeta: StochasticMatrix(p),
+            space=SimpleNamespace(dim=d, util=StateFunction(np.arange(d) + 1.0)))
+        draws = SimpleNamespace(random=lambda n: u[:n])
+        out, y = fleet_step(FleetState(states), 0.0, family, draws)
+        return out.states, y
+
+    @staticmethod
+    def _compare_nxd(p, states, u):
+        """The N x d broadcast compare the row search replaces."""
+        cum = np.cumsum(p, axis=1)
+        nxt = (cum[states] < u[:, None]).sum(axis=1)
+        return np.minimum(nxt, p.shape[0] - 1)
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 96])
+    def test_row_search_matches_broadcast_compare(self, d):
+        rng = np.random.default_rng(d)
+        p = rng.dirichlet(np.ones(d), size=d)
+        p[rng.random((d, d)) < 0.5] = 0.0  # zero entries: cumsum plateaus
+        p[:, -1] = 0.0                     # row sums reached before the end
+        p[:, 0] += 1e-3                    # keep every row nonempty
+        p /= p.sum(axis=1, keepdims=True)
+        cum = np.cumsum(p, axis=1)
+        n = 4000
+        states = rng.integers(0, d, n)
+        u = rng.random(n)
+        on_cum = rng.random(n) < 0.5       # draws equal to a cumsum entry
+        u[on_cum] = cum[states[on_cum], rng.integers(0, d, on_cum.sum())]
+        u[:3] = [0.0, np.nextafter(1.0, 0.0), cum[states[2], -1]]
+        cases = [
+            (states, u),
+            (np.full(n, d // 2), u),       # every agent in one state
+            (states[:1], u[:1]),           # a single agent
+            (states[1:2], u[1:2]),
+        ]
+        util = np.arange(d) + 1.0
+        for s, v in cases:
+            got, y = self._step_with_draws(p, s, v)
+            expect = self._compare_nxd(p, s, v)
+            assert np.array_equal(got, expect)
+            assert y == float(util[expect].mean())
 
     def test_time_average_approaches_mean_power(self, fam):
         z = 0.4
