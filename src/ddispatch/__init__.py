@@ -8,11 +8,8 @@ and simulates mean-field and finite-fleet tracking loops.
 
 __version__ = "0.1.0"
 
-# the thread cap must reach the environment before numpy loads its BLAS
-from .cli import _apply_thread_cap
-
-_apply_thread_cap()
-
+# first, so that cli applies the thread cap before numpy loads its BLAS
+from . import cli  # noqa: F401
 from .errors import (
     AdjointProductReducible,
     BadCutoffs,

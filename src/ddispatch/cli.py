@@ -1,16 +1,18 @@
 """Command line front end: build load models, synthesize design families,
 analyze their linearizations, run simulations, and decompose signals.
 
-The package applies the thread cap from ``DDISPATCH_THREADS`` as its first
-step on import, before numpy loads its linear algebra backend, so the cap
-holds for ``python -m ddispatch`` and the console script alike.  Exit codes
-are stable: 0 success, 2 argument or parse problems, 3 validation failures,
-4 mathematical preconditions not met, 5 design continuation divergence.
+The thread cap from ``DDISPATCH_THREADS`` is applied at the top of this
+module, before its numpy import, and the package imports this module first,
+so the cap holds for ``python -m ddispatch``, the console script and
+``import ddispatch`` alike.  Exit codes are stable: 0 success, 2 argument or
+parse problems, 3 validation failures, 4 mathematical preconditions not met,
+5 design continuation divergence.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -29,6 +31,28 @@ def _apply_thread_cap():
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ.setdefault(var, cap)
+
+
+# numpy reads the BLAS thread variables when it loads
+_apply_thread_cap()
+
+import numpy as np  # noqa: E402
+
+from .design import (DesignFamily, LoadStateSpace, _zero_direction,  # noqa: E402
+                     build_exponential_family, load_family, save_family,
+                     solve_design_ode)
+from .errors import (BadCutoffs, DispatchError, IntegrationDiverged,  # noqa: E402
+                     LatticeMismatch, ValidationError)
+from .fileio import (document, field, finite, integer,  # noqa: E402
+                     json_object, malformed, read_json, write_json)
+from .linearize import bode_export, linearize, positive_real_check  # noqa: E402
+from .loads import (LoadModel, PoolModelSpec, TclModelSpec,  # noqa: E402
+                    build_pool_model, build_tcl_model, load_model, save_model,
+                    synthesis_inputs, tcl_trajectory, trajectory_to_csv)
+from .markov import (StateFunction, StochasticMatrix,  # noqa: E402
+                     check_irreducible_aperiodic)
+from .sim import (SignalSet, TrackingConfig, fleet_rollout,  # noqa: E402
+                  frequency_decompose, meanfield_rollout, track, tracking_metrics)
 
 
 def _positive(cast, noun: str):
@@ -120,82 +144,17 @@ def build_parser() -> argparse.ArgumentParser:
 # -- command handlers ------------------------------------------------------
 
 
-def _read_spec_doc(path: str | None) -> dict:
-    if path is None:
-        return {}
-    from .fileio import read_json
-
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise json.JSONDecodeError("expected a JSON object", "", 0)
-    return doc
-
-
-def _parse(what: str, parse, value):
-    """``parse(value)``, with a malformed value reported as a validation error
-    (malformed JSON stays a parse error)."""
-    from .errors import ValidationError
-
-    try:
-        return parse(value)
-    except (ValidationError, json.JSONDecodeError):
-        raise
-    except KeyError as exc:
-        raise ValidationError(f"bad {what}: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad {what}: {exc}") from None
-
-
-def _field(doc: dict, key: str, parse, default=None):
-    """One parsed document field; it is required unless it has a default."""
-    from .errors import ValidationError
-
-    if key in doc:
-        return _parse(f"field {key!r}", parse, doc[key])
-    if default is None:
-        raise ValidationError(f"missing field {key!r}")
-    return default
-
-
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"expected a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _merge_spec(defaults: dict, doc: dict, what: str) -> dict:
-    from .errors import ValidationError
-
-    unknown = set(doc) - set(defaults)
-    if unknown:
-        raise ValidationError(
-            f"unknown {what} spec fields: {', '.join(sorted(unknown))}"
-        )
-    merged = dict(defaults)
-    merged.update(doc)
-    return merged
-
-
 def cmd_model(ns) -> int:
-    from .errors import ValidationError
-    from .loads import (PoolModelSpec, TclModelSpec, build_pool_model,
-                        build_tcl_model, save_model)
-    from .markov import check_irreducible_aperiodic
-
-    doc = _read_spec_doc(ns.spec)
+    doc = {} if ns.spec is None else read_json(ns.spec)
     if ns.kind == "pool":
-        spec = _parse("pool spec", PoolModelSpec.from_json,
-                      _merge_spec(PoolModelSpec().to_json(), doc, "pool"))
-        model = build_pool_model(spec)
+        model = build_pool_model(PoolModelSpec.from_json(doc))
     elif ns.kind == "tcl":
-        spec = _parse("tcl spec", TclModelSpec.from_json,
-                      _merge_spec(TclModelSpec().to_json(), doc, "tcl"))
-        model = build_tcl_model(spec, samples_per_state=ns.samples,
-                                seed=ns.seed)
+        model = build_tcl_model(TclModelSpec.from_json(doc),
+                                samples_per_state=ns.samples, seed=ns.seed)
     else:
         if ns.spec is None:
             raise ValidationError("custom models need --spec with entries/util")
-        model = _parse("custom spec", _custom_model, doc)
+        model = _custom_model(json_object(doc, "custom spec"))
     save_model(model, ns.out)
     report = check_irreducible_aperiodic(model.p0)
     print(f"model kind={model.kind} states={model.dim} gamma={model.gamma:g}")
@@ -208,37 +167,19 @@ def cmd_model(ns) -> int:
     return EXIT_OK
 
 
-def _custom_model(doc: dict):
-    import numpy as np
-
-    from .design import LoadStateSpace
-    from .errors import ValidationError
-    from .loads import LoadModel
-    from .markov import StateFunction, StochasticMatrix
-
-    if "entries" not in doc or "util" not in doc:
-        raise ValidationError("custom spec needs 'entries' and 'util'")
-    s0 = StochasticMatrix(np.asarray(doc["entries"], dtype=float))
-    if not s0.is_square:
-        raise ValidationError("custom kernel must be square")
-    util = StateFunction(np.asarray(doc["util"], dtype=float),
-                         units=str(doc.get("units", "")))
-    space = LoadStateSpace(n_control=s0.dim, n_exo=1, util=util,
-                           anchor=int(doc.get("anchor", 0)))
-    return LoadModel(kind="custom", spec_doc=doc, space=space, s0=s0,
-                     gamma=float(doc.get("gamma", 1.0)))
+def _custom_model(doc: dict) -> LoadModel:
+    with malformed("custom spec"):
+        s0 = StochasticMatrix(np.asarray(doc["entries"], dtype=float))
+        util = StateFunction(np.asarray(doc["util"], dtype=float),
+                             units=str(doc.get("units", "")))
+        space = LoadStateSpace(n_control=s0.dim, n_exo=1, util=util,
+                               anchor=integer(doc.get("anchor", 0)))
+        return LoadModel(kind="custom", spec_doc=doc, space=space, s0=s0,
+                         gamma=float(doc.get("gamma", 1.0)))
 
 
 def _scaled_space(ns, base, space):
     """Apply --util-scale: an exact units change for the command variable."""
-    import dataclasses
-
-    import numpy as np
-
-    from .design import _zero_direction
-    from .errors import ValidationError
-    from .markov import StateFunction
-
     if ns.util_scale == "auto":
         # sup norm of the exponent rate the chosen design kind would apply
         scale = float(np.abs(_zero_direction(ns.kind, base, space)).max())
@@ -263,12 +204,7 @@ def _scaled_space(ns, base, space):
 
 
 def cmd_design(ns) -> int:
-    import numpy as np
-
-    from .design import build_exponential_family, save_family, solve_design_ode
-    from .loads import load_model, synthesis_inputs
-
-    model = _parse("model document", load_model, ns.model)
+    model = load_model(ns.model)
     base, structure = synthesis_inputs(model, ns.route)
     space, scale = _scaled_space(ns, base, model.space)
     if scale != 1.0:
@@ -295,11 +231,7 @@ def cmd_design(ns) -> int:
 
 
 def cmd_analyze(ns) -> int:
-    from .design import load_family
-    from .fileio import write_json
-    from .linearize import bode_export, linearize, positive_real_check
-
-    family = _parse("family document", load_family, ns.family)
+    family = load_family(ns.family)
     responses = []
     results = []
     for z in ns.zeta:
@@ -323,118 +255,127 @@ def cmd_analyze(ns) -> int:
     return EXIT_OK
 
 
-def _resolve(base_path: str, rel: str) -> str:
-    """``rel`` relative to the directory of ``base_path`` (absolute paths pass)."""
-    return os.path.join(os.path.dirname(os.path.abspath(base_path)), rel)
-
-
-def _build_reference(doc: dict, steps: int):
-    import numpy as np
-
-    from .errors import ValidationError
-
+def _reference(doc, steps: int) -> np.ndarray:
+    """Fractional power reference of a ``track`` scenario, one value per step."""
+    doc = json_object(doc, "reference")
     kind = doc.get("kind", "constant")
-    amp = _field(doc, "amplitude", float, 0.0)
+    amplitude = field(doc, "amplitude", finite, 0.0)
     if kind == "constant":
-        return amp * np.ones(steps)
+        return amplitude * np.ones(steps)
+    period = field(doc, "period_steps", finite, 100.0)
+    if period <= 0.0:
+        raise ValidationError(f"period_steps must be positive, got {period:g}")
+    wave = np.sin(2.0 * np.pi * np.arange(steps) / period)
     if kind == "sine":
-        period = _field(doc, "period_steps", float, 100.0)
-        return amp * np.sin(2.0 * np.pi * np.arange(steps) / period)
+        return amplitude * wave
     if kind == "square":
-        period = _field(doc, "period_steps", float, 100.0)
-        return amp * np.sign(np.sin(2.0 * np.pi * np.arange(steps) / period))
+        return amplitude * np.sign(wave)
     raise ValidationError(f"unknown reference kind {kind!r}")
 
 
-def cmd_simulate(ns) -> int:
-    import numpy as np
+def _controller(doc) -> TrackingConfig:
+    doc = json_object(doc, "controller")
+    anti_windup = doc.get("anti_windup", True)
+    if not isinstance(anti_windup, bool):
+        raise ValidationError(f"anti_windup must be true or false, got {anti_windup!r}")
+    with malformed("controller"):
+        return TrackingConfig(kind=doc.get("kind", "pi"), kp=doc.get("kp"),
+                              ki=doc.get("ki"), zeta_limit=doc.get("zeta_limit"),
+                              anti_windup=anti_windup)
 
-    from .design import load_family
-    from .errors import ValidationError
-    from .fileio import read_json, write_json
-    from .sim import (SignalSet, TrackingConfig, fleet_rollout,
-                      meanfield_rollout, track, tracking_metrics)
 
-    scenario = read_json(ns.scenario)
-    if not isinstance(scenario, dict) or scenario.get("payload") != "scenario":
-        raise ValidationError("not a scenario document")
-    mode = scenario.get("mode", "constant")
-    period_s = _field(scenario, "period_s", float, 1.0)
-    seed = _field(scenario, "seed", int, 0)
-    metrics_path = ns.metrics or (str(ns.out) + ".metrics.json")
+@dataclasses.dataclass(frozen=True, eq=False)
+class Scenario:
+    """A ``simulate`` scenario document, read once with every field checked;
+    ``family`` is ``None`` only for a trajectory run without one."""
 
-    if mode == "trajectory":
-        metrics = _simulate_trajectory(ns, scenario, seed)
-    else:
-        family = _parse("family document", load_family,
-                        _resolve(ns.scenario, _field(scenario, "family", str)))
-        steps = _field(scenario, "steps", int, 500)
-        if mode == "constant":
-            zeta = _field(scenario, "zeta", float, 0.0)
-            if scenario.get("plant", "meanfield") == "fleet":
-                y, _ = fleet_rollout(family, zeta * np.ones(steps),
-                                     n=_field(scenario, "n", int, 1000), seed=seed)
-            else:
-                y, _ = meanfield_rollout(family, zeta * np.ones(steps))
-            signals = SignalSet(period_s=period_s, samples={
-                "zeta": zeta * np.ones(steps), "output": y,
-            })
-            target = family.ubar_at(zeta)
-            metrics = {"target_mean_power": target,
-                       "final_output": float(y[-1]),
-                       "final_gap": float(abs(y[-1] - target))}
-        elif mode == "track":
-            ref = _build_reference(_field(scenario, "reference", _object, {}), steps)
-            config = _parse("controller", lambda doc: TrackingConfig(
-                kind=doc.get("kind", "pi"), kp=doc.get("kp"), ki=doc.get("ki"),
-                zeta_limit=doc.get("zeta_limit"),
-                anti_windup=bool(doc.get("anti_windup", True)),
-            ), _field(scenario, "controller", _object, {}))
-            signals = track(family, ref, config,
-                            plant=scenario.get("plant", "meanfield"),
-                            n=_field(scenario, "n", int, 1000), seed=seed,
-                            period_s=period_s)
-            metrics = tracking_metrics(signals,
-                                       settle=_field(scenario, "settle", int, 0))
-        else:
+    mode: str
+    family: DesignFamily | None
+    steps: int
+    settle: int
+    seed: int
+    n: int
+    zeta: float
+    period_s: float
+    plant: str
+    reference: np.ndarray
+    controller: TrackingConfig
+    tcl: TclModelSpec
+
+    @classmethod
+    def read(cls, path: str) -> "Scenario":
+        doc = document(read_json(path), "scenario")
+        mode = doc.get("mode", "constant")
+        if mode not in ("constant", "track", "trajectory"):
             raise ValidationError(f"unknown scenario mode {mode!r}")
-        signals.to_csv(ns.out)
-        print(f"wrote {ns.out}")
+        plant = doc.get("plant", "meanfield")
+        if plant not in ("meanfield", "fleet"):
+            raise ValidationError(f"unknown plant {plant!r}")
+        steps = field(doc, "steps", integer, 10000 if mode == "trajectory" else 500)
+        if steps < 1:
+            raise ValidationError(f"steps must be at least 1, got {steps}")
+        settle = field(doc, "settle", integer, 0)
+        if not 0 <= settle < steps:
+            raise ValidationError(f"settle must lie in [0, steps), got {settle}")
+        seed = field(doc, "seed", integer, 0)
+        if seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {seed}")
+        family = None
+        with malformed("scenario"):  # also a steps count too large for an array
+            if mode != "trajectory" or "family" in doc:
+                family = load_family(os.path.join(os.path.dirname(os.path.abspath(path)),
+                                                  str(doc["family"])))
+            reference = _reference(doc.get("reference", {}), steps)
+        return cls(mode=mode, family=family, steps=steps, settle=settle, seed=seed,
+                   n=field(doc, "n", integer, 1000),
+                   zeta=field(doc, "zeta", finite, 0.0),
+                   period_s=field(doc, "period_s", float, 1.0), plant=plant,
+                   reference=reference,
+                   controller=_controller(doc.get("controller", {})),
+                   tcl=TclModelSpec.from_json(doc.get("tcl", {})))
 
+
+def cmd_simulate(ns) -> int:
+    scenario = Scenario.read(ns.scenario)
+    if scenario.mode == "trajectory":
+        traj = tcl_trajectory(scenario.tcl, steps=scenario.steps,
+                              seed=scenario.seed, family=scenario.family,
+                              zeta=scenario.zeta)
+        trajectory_to_csv(traj, ns.out)
+        metrics = {
+            "epochs": traj.epoch_count,
+            "overrides": traj.override_count,
+            "override_rate": traj.override_rate,
+            "mean_power_fraction": float(traj.mode.mean()),
+        }
+    elif scenario.mode == "constant":
+        zetas = scenario.zeta * np.ones(scenario.steps)
+        if scenario.plant == "fleet":
+            y, _ = fleet_rollout(scenario.family, zetas, n=scenario.n, seed=scenario.seed)
+        else:
+            y, _ = meanfield_rollout(scenario.family, zetas)
+        signals = SignalSet(period_s=scenario.period_s,
+                            samples={"zeta": zetas, "output": y})
+        target = scenario.family.ubar_at(scenario.zeta)
+        metrics = {"target_mean_power": target,
+                   "final_output": float(y[-1]),
+                   "final_gap": float(abs(y[-1] - target))}
+        signals.to_csv(ns.out)
+    else:
+        signals = track(scenario.family, scenario.reference, scenario.controller,
+                        plant=scenario.plant, n=scenario.n, seed=scenario.seed,
+                        period_s=scenario.period_s)
+        metrics = tracking_metrics(signals, settle=scenario.settle)
+        signals.to_csv(ns.out)
+    print(f"wrote {ns.out}")
+    metrics_path = ns.metrics or (str(ns.out) + ".metrics.json")
     write_json(metrics_path, {"format_version": 1, "payload": "metrics",
                               "metrics": metrics})
     print(f"wrote {metrics_path}")
     return EXIT_OK
 
 
-def _simulate_trajectory(ns, scenario: dict, seed: int) -> dict:
-    from .design import load_family
-    from .loads import TclModelSpec, tcl_trajectory, trajectory_to_csv
-
-    spec = _parse("tcl spec", TclModelSpec.from_json,
-                  _merge_spec(TclModelSpec().to_json(),
-                              _field(scenario, "tcl", _object, {}), "tcl"))
-    family = None
-    if "family" in scenario:
-        family = _parse("family document", load_family,
-                        _resolve(ns.scenario, _field(scenario, "family", str)))
-    traj = tcl_trajectory(spec, steps=_field(scenario, "steps", int, 10000),
-                          seed=seed, family=family,
-                          zeta=_field(scenario, "zeta", float, 0.0))
-    trajectory_to_csv(traj, ns.out)
-    print(f"wrote {ns.out}")
-    return {
-        "epochs": traj.epoch_count,
-        "overrides": traj.override_count,
-        "override_rate": traj.override_rate,
-        "mean_power_fraction": float(traj.mode.mean()),
-    }
-
-
 def cmd_decompose(ns) -> int:
-    from .errors import ValidationError
-    from .sim import SignalSet, frequency_decompose
-
     with open(ns.signal, "r", encoding="utf-8") as fh:
         signals = SignalSet.from_csv(fh.read())
     column = ns.column or next(iter(signals.samples))
@@ -458,22 +399,17 @@ def cmd_decompose(ns) -> int:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     ns = parser.parse_args(argv)
     if not hasattr(ns, "func"):
         parser.print_help()
         return EXIT_PARSE
-
-    from .errors import (BadCutoffs, DispatchError, IntegrationDiverged,
-                         LatticeMismatch, ValidationError)
-
     try:
         return ns.func(ns)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except IntegrationDiverged as exc:

@@ -36,7 +36,8 @@ from .errors import (
     ValidationError,
     ZeroMass,
 )
-from .fileio import FORMAT_VERSION, read_json, write_json
+from .fileio import (FORMAT_VERSION, document, json_object, malformed, read_json,
+                     write_json)
 from .markov import (
     Pmf,
     StateFunction,
@@ -141,7 +142,7 @@ class LoadStateSpace:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LoadStateSpace":
-        exo = doc.get("exo_kernel")
+        exo = json_object(doc, "space").get("exo_kernel")
         return cls(
             n_control=int(doc["n_control"]),
             n_exo=int(doc["n_exo"]),
@@ -321,7 +322,7 @@ class FamilyStructure:
 
     @classmethod
     def from_json(cls, doc: dict) -> "FamilyStructure":
-        gamma = doc.get("gamma")
+        gamma = json_object(doc, "structure").get("gamma")
         return cls(sampling=doc["sampling"],
                    gamma=None if gamma is None else float(gamma),
                    has_exogenous=bool(doc.get("has_exogenous", False)))
@@ -412,7 +413,7 @@ class DesignFamily:
         g = self.zeta_grid
         lo_edge, hi_edge = g[0], g[-1]
         slack = _GRID_SNAP * self.step
-        if zeta < lo_edge - slack or zeta > hi_edge + slack:
+        if not lo_edge - slack <= zeta <= hi_edge + slack:  # NaN fails too
             raise OutOfGrid(
                 f"command {zeta:g} outside synthesized range [{lo_edge:g}, {hi_edge:g}]"
             )
@@ -501,12 +502,7 @@ class DesignFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DesignFamily":
-        if not isinstance(doc, dict) or doc.get("payload") != "design-family":
-            raise ValidationError("not a design family document")
-        if int(doc.get("format_version", -1)) != FORMAT_VERSION:
-            raise ValidationError(
-                f"unsupported format version {doc.get('format_version')!r}"
-            )
+        doc = document(doc, "design-family")
         gen = doc.get("generator")
         return cls(
             space=LoadStateSpace.from_json(doc["space"]),
@@ -526,7 +522,8 @@ def save_family(family: DesignFamily, path):
 
 
 def load_family(path) -> DesignFamily:
-    return DesignFamily.from_json(read_json(path))
+    with malformed("family document"):
+        return DesignFamily.from_json(read_json(path))
 
 
 def _command_grid(zeta_max: float, step: float) -> np.ndarray:

@@ -1,10 +1,17 @@
-"""Small file helpers: atomic writes and versioned JSON documents."""
+"""File helpers: atomic writes, versioned JSON documents, and the rules that
+report a malformed document as a ValidationError (unreadable files and
+malformed JSON propagate as they are)."""
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
+import math
 import os
 import tempfile
+
+from .errors import ValidationError
 
 FORMAT_VERSION = 1
 
@@ -34,6 +41,78 @@ def write_json(path, doc: dict):
     atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True))
 
 
-def read_json(path) -> dict:
+def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+@contextlib.contextmanager
+def malformed(what: str):
+    """Report a missing field, or a value of the wrong type or range, met
+    while reading ``what`` as a :class:`ValidationError`."""
+    try:
+        yield
+    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except KeyError as exc:
+        raise ValidationError(f"bad {what}: missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad {what}: {exc}") from None
+
+
+def json_object(value, what: str) -> dict:
+    """``value`` itself, checked to be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValidationError(
+            f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def document(doc, payload: str) -> dict:
+    """``doc`` itself, checked to be a ``payload`` document in this format
+    version; a document that states no version is read as this one."""
+    if not isinstance(doc, dict) or doc.get("payload") != payload:
+        raise ValidationError(f"not a {payload} document")
+    if field(doc, "format_version", int, FORMAT_VERSION) != FORMAT_VERSION:
+        raise ValidationError(f"unsupported format version {doc['format_version']!r}")
+    return doc
+
+
+def field(doc: dict, key: str, cast, default):
+    """``cast(doc[key])``, or ``default`` when ``key`` is absent."""
+    if key not in doc:
+        return default
+    with malformed(f"field {key!r}"):
+        return cast(doc[key])
+
+
+def integer(value) -> int:
+    """A whole number as an int; ``1.5`` is rejected, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def finite(value) -> float:
+    """``value`` as a float; NaN and infinities are rejected."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+def spec_from_json(cls, doc):
+    """An instance of the dataclass ``cls`` from a JSON object of its fields.
+
+    Each given value is cast to the type of the field's default (a whole
+    number for an int, a finite number for a float), absent fields keep their
+    defaults, and unknown fields are rejected.
+    """
+    doc = json_object(doc, f"{cls.__name__} document")
+    casts = {f.name: {int: integer, float: finite}[type(f.default)]
+             for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(casts))
+    if unknown:
+        raise ValidationError(
+            f"unknown {cls.__name__} fields: {', '.join(unknown)}")
+    return cls(**{k: field(doc, k, casts[k], None) for k in doc})

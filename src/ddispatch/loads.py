@@ -18,7 +18,8 @@ import numpy as np
 
 from .design import FamilyStructure, LoadStateSpace, model_digest
 from .errors import InfeasibleDutyCycle, LatticeMismatch, ValidationError
-from .fileio import FORMAT_VERSION, atomic_write_text, read_json, write_json
+from .fileio import (FORMAT_VERSION, atomic_write_text, document, json_object,
+                     malformed, read_json, spec_from_json, write_json)
 from .markov import Pmf, StateFunction, StochasticMatrix, geometric_mix, invariant_pmf
 
 __all__ = [
@@ -78,17 +79,8 @@ class PoolModelSpec:
     def dim(self) -> int:
         return 2 * self.rungs
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PoolModelSpec":
-        return cls(rungs=int(doc["rungs"]),
-                   cycle_hours=float(doc["cycle_hours"]),
-                   gamma=float(doc["gamma"]),
-                   slot_minutes=float(doc["slot_minutes"]),
-                   power_kw=float(doc["power_kw"]),
-                   hazard_shape=float(doc.get("hazard_shape", 2.0)))
+    to_json = asdict
+    from_json = classmethod(spec_from_json)
 
 
 def _sojourn_cdf(rungs: int, sigma: float, shape: float) -> np.ndarray:
@@ -193,20 +185,15 @@ class LoadModel:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LoadModel":
-        if not isinstance(doc, dict) or doc.get("payload") != "load-model":
-            raise ValidationError("not a load model document")
-        if int(doc.get("format_version", -1)) != FORMAT_VERSION:
-            raise ValidationError(
-                f"unsupported format version {doc.get('format_version')!r}"
-            )
+        doc = document(doc, "load-model")
         r0 = doc.get("r0")
         return cls(
             kind=doc["kind"],
-            spec_doc=doc["spec"],
+            spec_doc=json_object(doc["spec"], "spec"),
             space=LoadStateSpace.from_json(doc["space"]),
             s0=StochasticMatrix(np.asarray(doc["s0"], dtype=float)),
             gamma=float(doc["gamma"]),
-            diagnostics=doc.get("diagnostics", {}),
+            diagnostics=json_object(doc.get("diagnostics", {}), "diagnostics"),
             r0=None if r0 is None else np.asarray(r0, dtype=float),
         )
 
@@ -216,7 +203,8 @@ def save_model(model: LoadModel, path):
 
 
 def load_model(path) -> LoadModel:
-    return LoadModel.from_json(read_json(path))
+    with malformed("model document"):
+        return LoadModel.from_json(read_json(path))
 
 
 def synthesis_inputs(model: LoadModel, route: str):
@@ -346,13 +334,8 @@ class TclModelSpec:
     def lattice(self) -> np.ndarray:
         return self.band_low + self.lattice_step * np.arange(self.cells)
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TclModelSpec":
-        return cls(**{k: (int(v) if k == "state_count" else float(v))
-                      for k, v in doc.items()})
+    to_json = asdict
+    from_json = classmethod(spec_from_json)
 
 
 def thermal_decay(spec: TclModelSpec, period_s: float | None = None) -> float:
@@ -570,6 +553,8 @@ def tcl_trajectory(spec: TclModelSpec, steps: int, seed: int = 0,
     """
     if steps < 1:
         raise ValidationError("steps must be positive")
+    if family is not None and (family.space.n_control, family.space.n_exo) != (2, spec.cells):
+        raise LatticeMismatch("family does not fit the cooling-unit lattice")
     fall_on, rise_off = drift_per_step(spec)
     noise_std = math.sqrt(spec.noise_var)
     zeta_arr = np.broadcast_to(np.asarray(zeta, dtype=float), (steps,))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadCutoffs, ValidationError
-from .fileio import FORMAT_VERSION, atomic_write_text
+from .fileio import FORMAT_VERSION, atomic_write_text, malformed
 from .linearize import dc_gain, linearize
 from .markov import Pmf, as_values
 
@@ -47,8 +47,8 @@ class SignalSet:
     samples: dict
 
     def __post_init__(self):
-        if self.period_s <= 0.0:
-            raise ValidationError("period_s must be positive")
+        if not 0.0 < self.period_s < math.inf:
+            raise ValidationError("period_s must be positive and finite")
         if not self.samples:
             raise ValidationError("need at least one signal")
         clean = {}
@@ -97,32 +97,36 @@ class SignalSet:
 
     @classmethod
     def from_csv(cls, text: str) -> "SignalSet":
+        """Parse :meth:`to_csv` text; every cell must be a finite number."""
         period = None
         header = None
         rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition("=")
-                if key.strip() == "period_s":
-                    period = float(value)
-                continue
-            if header is None:
-                header = [h.strip() for h in line.split(",")]
-                if header[0] != "t_s" or len(header) < 2:
-                    raise ValidationError("expected a 't_s,<signals>' header")
-                continue
-            rows.append([float(v) for v in line.split(",")])
-        if header is None or not rows:
-            raise ValidationError("no signal rows found")
-        if period is None:
-            if len(rows) > 1:
-                period = rows[1][0] - rows[0][0]
-            else:
-                raise ValidationError("cannot infer the sample period")
-        data = np.asarray(rows, dtype=float)
+        with malformed("signal CSV"):
+            for line in text.splitlines():
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    key, _, value = line[1:].partition("=")
+                    if key.strip() == "period_s":
+                        period = float(value)
+                    continue
+                if header is None:
+                    header = [h.strip() for h in line.split(",")]
+                    if header[0] != "t_s" or len(header) < 2:
+                        raise ValidationError("expected a 't_s,<signals>' header")
+                    continue
+                rows.append([float(v) for v in line.split(",")])
+            if header is None or not rows:
+                raise ValidationError("no signal rows found")
+            if period is None:
+                if len(rows) > 1:
+                    period = rows[1][0] - rows[0][0]
+                else:
+                    raise ValidationError("cannot infer the sample period")
+            data = np.asarray(rows, dtype=float)
+        if data.shape[1] != len(header) or not np.isfinite(data).all():
+            raise ValidationError("each signal row needs one finite number per column")
         samples = {name: data[:, j + 1] for j, name in enumerate(header[1:])}
         return cls(period_s=period, samples=samples)
 

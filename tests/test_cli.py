@@ -76,6 +76,13 @@ class TestModel:
                     "--out", tmp_path / "x.json"]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_spec_not_an_object(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        write_json(spec, [{"rungs": 24}])
+        assert run(["model", "--kind", "pool", "--spec", spec,
+                    "--out", tmp_path / "x.json"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_spec_field(self, tmp_path):
         spec = tmp_path / "spec.json"
         write_json(spec, {"rung_count": 24})
@@ -139,6 +146,15 @@ class TestDesign:
     def test_model_without_kind(self, workdir, tmp_path, capsys):
         doc = read_json(workdir["model"])
         del doc["kind"]
+        write_json(tmp_path / "m.json", doc)
+        assert run(["design", "--model", tmp_path / "m.json", "--kind", "ipd",
+                    "--zeta-max", "0.5", "--out", tmp_path / "f.json"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["space", "spec", "diagnostics"])
+    def test_model_field_not_an_object(self, workdir, tmp_path, capsys, key):
+        doc = read_json(workdir["model"])
+        doc[key] = []
         write_json(tmp_path / "m.json", doc)
         assert run(["design", "--model", tmp_path / "m.json", "--kind", "ipd",
                     "--zeta-max", "0.5", "--out", tmp_path / "f.json"]) == 3
@@ -231,7 +247,10 @@ class TestAnalyze:
         ("kind", None),
         ("format_version", "x"),
         ("zeta_grid", "abc"),
-    ], ids=["no_kind", "format_version_text", "zeta_grid_text"])
+        ("space", []),
+        ("structure", []),
+    ], ids=["no_kind", "format_version_text", "zeta_grid_text", "space_list",
+            "structure_list"])
     def test_malformed_family(self, workdir, tmp_path, capsys, key, value):
         doc = read_json(workdir["family"])
         if value is None:
@@ -308,7 +327,22 @@ class TestSimulate:
         {"mode": "constant", "family": None, "steps": "abc"},
         [{"payload": "scenario"}],
         {"mode": "track", "family": None, "controller": [1]},
-    ], ids=["no_family", "steps_not_integer", "top_level_list", "controller_list"])
+        {"mode": "constant", "family": None, "steps": -5},
+        {"mode": "track", "family": None, "steps": 20, "settle": 20},
+        {"mode": "track", "family": None, "steps": 20, "settle": -3},
+        {"mode": "constant", "family": None, "plant": "fleet", "seed": -1},
+        {"mode": "constant", "family": None, "plant": "fleet", "seed": 1.5},
+        {"mode": "constant", "family": None, "zeta": "nan"},
+        {"mode": "track", "family": None,
+         "reference": {"kind": "sine", "amplitude": "inf"}},
+        {"mode": "track", "family": None,
+         "reference": {"kind": "sine", "amplitude": 0.01, "period_steps": 0}},
+        {"mode": "track", "family": None, "controller": {"anti_windup": "no"}},
+        {"mode": "constant", "family": None, "plant": "counts"},
+    ], ids=["no_family", "steps_not_integer", "top_level_list", "controller_list",
+            "steps_negative", "settle_not_below_steps", "settle_negative",
+            "seed_negative", "seed_fractional", "zeta_nan", "amplitude_inf",
+            "period_steps_zero", "anti_windup_text", "plant_unknown"])
     def test_malformed_scenario(self, workdir, tmp_path, capsys, doc):
         if isinstance(doc, dict):
             doc = dict(doc, format_version=1, payload="scenario")
@@ -359,6 +393,22 @@ class TestDecompose:
         assert run(["decompose", "--signal", sig, "--column", "wind",
                     "--lp-cutoff", "1e-4", "--hp-cutoff", "1e-3",
                     "--out", tmp_path / "o.csv"]) == 3
+
+    @pytest.mark.parametrize("text", [
+        "# period_s=60.0\nt_s,g\n0,1.0\n60,abc\n",
+        "# period_s=60.0\nt_s,g\n0,1.0\n60,1.0,2.0\n",
+        "# period_s=60.0\nt_s,g\n0,1.0\n60\n",
+        "# period_s=abc\nt_s,g\n0,1.0\n60,2.0\n",
+        "# period_s=60.0\nt_s,g\n0,1.0\n60,inf\n120,1.0\n",
+        "# period_s=nan\nt_s,g\n0,1.0\n60,2.0\n",
+    ], ids=["cell_not_numeric", "row_too_wide", "row_too_narrow",
+            "period_not_numeric", "sample_not_finite", "period_not_finite"])
+    def test_malformed_signal(self, tmp_path, capsys, text):
+        sig = tmp_path / "sig.csv"
+        sig.write_text(text)
+        assert run(["decompose", "--signal", sig, "--lp-cutoff", "1e-4",
+                    "--hp-cutoff", "1e-3", "--out", tmp_path / "o.csv"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_signal_file(self, tmp_path):
         assert run(["decompose", "--signal", tmp_path / "no.csv",

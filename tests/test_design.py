@@ -384,6 +384,12 @@ class TestFamilyContainer:
         with pytest.raises(OutOfGrid):
             fam.kernel_at(-2.0)
 
+    def test_nan_command_is_out_of_grid(self):
+        fam = ode_family(zeta_max=0.5)
+        for call in (fam.h_at, fam.kernel_at, fam.ubar_at):
+            with pytest.raises(OutOfGrid):
+                call(math.nan)
+
     def test_grid_snap_and_interp(self):
         fam = ode_family(zeta_max=0.5, step=0.01)
         on = fam.h_at(0.25)
