@@ -43,7 +43,7 @@ from .design import (DesignFamily, LoadStateSpace, _zero_direction,  # noqa: E40
                      solve_design_ode)
 from .errors import (BadCutoffs, DispatchError, IntegrationDiverged,  # noqa: E402
                      LatticeMismatch, ValidationError)
-from .fileio import (document, field, finite, integer,  # noqa: E402
+from .fileio import (boolean, document, field, finite, integer,  # noqa: E402
                      json_object, malformed, read_json, write_json)
 from .linearize import bode_export, linearize, positive_real_check  # noqa: E402
 from .loads import (LoadModel, PoolModelSpec, TclModelSpec,  # noqa: E402
@@ -175,7 +175,7 @@ def _custom_model(doc: dict) -> LoadModel:
         space = LoadStateSpace(n_control=s0.dim, n_exo=1, util=util,
                                anchor=integer(doc.get("anchor", 0)))
         return LoadModel(kind="custom", spec_doc=doc, space=space, s0=s0,
-                         gamma=float(doc.get("gamma", 1.0)))
+                         gamma=field(doc, "gamma", finite, 1.0))
 
 
 def _scaled_space(ns, base, space):
@@ -242,6 +242,7 @@ def cmd_analyze(ns) -> int:
         results.append({
             "zeta": float(z),
             "realness_margin": resp.realness_margin,
+            "max_residual": resp.max_residual,
             "sigma2": resp.sigma2,
             "positive_real": bool(resp.realness_margin >= -1e-8),
         })
@@ -275,9 +276,7 @@ def _reference(doc, steps: int) -> np.ndarray:
 
 def _controller(doc) -> TrackingConfig:
     doc = json_object(doc, "controller")
-    anti_windup = doc.get("anti_windup", True)
-    if not isinstance(anti_windup, bool):
-        raise ValidationError(f"anti_windup must be true or false, got {anti_windup!r}")
+    anti_windup = field(doc, "anti_windup", boolean, True)
     with malformed("controller"):
         return TrackingConfig(kind=doc.get("kind", "pi"), kp=doc.get("kp"),
                               ki=doc.get("ki"), zeta_limit=doc.get("zeta_limit"),
@@ -329,7 +328,7 @@ class Scenario:
         return cls(mode=mode, family=family, steps=steps, settle=settle, seed=seed,
                    n=field(doc, "n", integer, 1000),
                    zeta=field(doc, "zeta", finite, 0.0),
-                   period_s=field(doc, "period_s", float, 1.0), plant=plant,
+                   period_s=field(doc, "period_s", finite, 1.0), plant=plant,
                    reference=reference,
                    controller=_controller(doc.get("controller", {})),
                    tcl=TclModelSpec.from_json(doc.get("tcl", {})))

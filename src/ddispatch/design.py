@@ -36,8 +36,8 @@ from .errors import (
     ValidationError,
     ZeroMass,
 )
-from .fileio import (FORMAT_VERSION, document, json_object, malformed, read_json,
-                     write_json)
+from .fileio import (FORMAT_VERSION, boolean, document, field, finite, integer,
+                     json_object, malformed, read_json, write_json)
 from .markov import (
     Pmf,
     StateFunction,
@@ -144,11 +144,11 @@ class LoadStateSpace:
     def from_json(cls, doc: dict) -> "LoadStateSpace":
         exo = json_object(doc, "space").get("exo_kernel")
         return cls(
-            n_control=int(doc["n_control"]),
-            n_exo=int(doc["n_exo"]),
+            n_control=integer(doc["n_control"]),
+            n_exo=integer(doc["n_exo"]),
             util=StateFunction(np.asarray(doc["util"], dtype=float),
                                doc.get("util_units", "")),
-            anchor=int(doc.get("anchor", 0)),
+            anchor=field(doc, "anchor", integer, 0),
             exo_kernel=None if exo is None else StochasticMatrix(np.asarray(exo, dtype=float)),
         )
 
@@ -324,8 +324,8 @@ class FamilyStructure:
     def from_json(cls, doc: dict) -> "FamilyStructure":
         gamma = json_object(doc, "structure").get("gamma")
         return cls(sampling=doc["sampling"],
-                   gamma=None if gamma is None else float(gamma),
-                   has_exogenous=bool(doc.get("has_exogenous", False)))
+                   gamma=None if gamma is None else finite(gamma),
+                   has_exogenous=field(doc, "has_exogenous", boolean, False))
 
 
 class DesignFamily:

@@ -73,7 +73,7 @@ def document(doc, payload: str) -> dict:
     version; a document that states no version is read as this one."""
     if not isinstance(doc, dict) or doc.get("payload") != payload:
         raise ValidationError(f"not a {payload} document")
-    if field(doc, "format_version", int, FORMAT_VERSION) != FORMAT_VERSION:
+    if field(doc, "format_version", integer, FORMAT_VERSION) != FORMAT_VERSION:
         raise ValidationError(f"unsupported format version {doc['format_version']!r}")
     return doc
 
@@ -87,18 +87,29 @@ def field(doc: dict, key: str, cast, default):
 
 
 def integer(value) -> int:
-    """A whole number as an int; ``1.5`` is rejected, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """A whole number as an int; ``1.5`` and ``true`` are rejected, not
+    truncated or read as 1."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
 def finite(value) -> float:
-    """``value`` as a float; NaN and infinities are rejected."""
+    """``value`` as a float; NaN, infinities and booleans are rejected."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{value!r} is not a finite number")
     return number
+
+
+def boolean(value) -> bool:
+    """``value`` itself, checked to be a JSON boolean."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{value!r} is not true or false")
+    return value
 
 
 def spec_from_json(cls, doc):

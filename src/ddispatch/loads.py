@@ -18,8 +18,9 @@ import numpy as np
 
 from .design import FamilyStructure, LoadStateSpace, model_digest
 from .errors import InfeasibleDutyCycle, LatticeMismatch, ValidationError
-from .fileio import (FORMAT_VERSION, atomic_write_text, document, json_object,
-                     malformed, read_json, spec_from_json, write_json)
+from .fileio import (FORMAT_VERSION, atomic_write_text, document, finite,
+                     json_object, malformed, read_json, spec_from_json,
+                     write_json)
 from .markov import Pmf, StateFunction, StochasticMatrix, geometric_mix, invariant_pmf
 
 __all__ = [
@@ -192,7 +193,7 @@ class LoadModel:
             spec_doc=json_object(doc["spec"], "spec"),
             space=LoadStateSpace.from_json(doc["space"]),
             s0=StochasticMatrix(np.asarray(doc["s0"], dtype=float)),
-            gamma=float(doc["gamma"]),
+            gamma=finite(doc["gamma"]),
             diagnostics=json_object(doc.get("diagnostics", {}), "diagnostics"),
             r0=None if r0 is None else np.asarray(r0, dtype=float),
         )

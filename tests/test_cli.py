@@ -83,6 +83,15 @@ class TestModel:
                     "--out", tmp_path / "x.json"]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [{"rungs": True}, {"power_kw": False}],
+                             ids=["int_field_true", "float_field_false"])
+    def test_boolean_spec_field(self, tmp_path, capsys, doc):
+        spec = tmp_path / "spec.json"
+        write_json(spec, doc)
+        assert run(["model", "--kind", "pool", "--spec", spec,
+                    "--out", tmp_path / "x.json"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_spec_field(self, tmp_path):
         spec = tmp_path / "spec.json"
         write_json(spec, {"rung_count": 24})
@@ -155,6 +164,19 @@ class TestDesign:
     def test_model_field_not_an_object(self, workdir, tmp_path, capsys, key):
         doc = read_json(workdir["model"])
         doc[key] = []
+        write_json(tmp_path / "m.json", doc)
+        assert run(["design", "--model", tmp_path / "m.json", "--kind", "ipd",
+                    "--zeta-max", "0.5", "--out", tmp_path / "f.json"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("format_version", 1.5),
+        ("format_version", True),
+        ("gamma", True),
+    ], ids=["format_version_fractional", "format_version_true", "gamma_true"])
+    def test_model_field_wrong_number(self, workdir, tmp_path, capsys, key, value):
+        doc = read_json(workdir["model"])
+        doc[key] = value
         write_json(tmp_path / "m.json", doc)
         assert run(["design", "--model", tmp_path / "m.json", "--kind", "ipd",
                     "--zeta-max", "0.5", "--out", tmp_path / "f.json"]) == 3
@@ -249,8 +271,10 @@ class TestAnalyze:
         ("zeta_grid", "abc"),
         ("space", []),
         ("structure", []),
+        ("format_version", 1.5),
+        ("format_version", True),
     ], ids=["no_kind", "format_version_text", "zeta_grid_text", "space_list",
-            "structure_list"])
+            "structure_list", "format_version_fractional", "format_version_true"])
     def test_malformed_family(self, workdir, tmp_path, capsys, key, value):
         doc = read_json(workdir["family"])
         if value is None:
@@ -261,6 +285,35 @@ class TestAnalyze:
         assert run(["analyze", "--family", tmp_path / "f.json", "--zeta", "0",
                     "--out", tmp_path / "b.csv"]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("space", "anchor", 1.5),
+        ("space", "anchor", True),
+        ("space", "n_control", 4.5),
+        ("structure", "has_exogenous", "no"),
+        ("structure", "has_exogenous", 0),
+        ("structure", "gamma", True),
+    ], ids=["anchor_fractional", "anchor_true", "n_control_fractional",
+            "has_exogenous_text", "has_exogenous_number", "gamma_true"])
+    def test_malformed_nested_family_field(self, workdir, tmp_path, capsys,
+                                           section, key, value):
+        doc = read_json(workdir["family"])
+        doc[section][key] = value
+        write_json(tmp_path / "f.json", doc)
+        assert run(["analyze", "--family", tmp_path / "f.json", "--zeta", "0",
+                    "--out", tmp_path / "b.csv"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_passivity_report_has_residual(self, workdir, tmp_path):
+        out = tmp_path / "bode.csv"
+        assert run(["analyze", "--family", workdir["family"],
+                    "--zeta", "0", "0.4", "--theta-count", "300",
+                    "--out", out]) == 0
+        for entry in read_json(str(out) + ".passivity.json")["results"]:
+            assert set(entry) == {"zeta", "realness_margin", "max_residual",
+                                  "sigma2", "positive_real"}
+            assert 0.0 <= entry["max_residual"] <= 1e-8
 
 
 class TestSimulate:
@@ -339,10 +392,15 @@ class TestSimulate:
          "reference": {"kind": "sine", "amplitude": 0.01, "period_steps": 0}},
         {"mode": "track", "family": None, "controller": {"anti_windup": "no"}},
         {"mode": "constant", "family": None, "plant": "counts"},
+        {"mode": "constant", "family": None, "steps": True},
+        {"mode": "constant", "family": None, "zeta": False},
+        {"mode": "constant", "family": None, "steps": True, "zeta": False},
+        {"mode": "constant", "family": None, "period_s": True},
     ], ids=["no_family", "steps_not_integer", "top_level_list", "controller_list",
             "steps_negative", "settle_not_below_steps", "settle_negative",
             "seed_negative", "seed_fractional", "zeta_nan", "amplitude_inf",
-            "period_steps_zero", "anti_windup_text", "plant_unknown"])
+            "period_steps_zero", "anti_windup_text", "plant_unknown",
+            "steps_true", "zeta_false", "steps_true_zeta_false", "period_s_true"])
     def test_malformed_scenario(self, workdir, tmp_path, capsys, doc):
         if isinstance(doc, dict):
             doc = dict(doc, format_version=1, payload="scenario")

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -29,6 +30,9 @@ from ddispatch.loads import PoolModelSpec, build_pool_model, synthesis_inputs
 from ddispatch.markov import Pmf, StateFunction, StochasticMatrix, invariant_pmf
 
 from conftest import random_chain, two_state
+
+# the package re-exports the function ``linearize`` under the module's name
+linearize_module = importlib.import_module("ddispatch.linearize")
 
 
 def simple_space(util, anchor=0):
@@ -313,6 +317,134 @@ class TestPositiveReal:
         assert resp.theta_grid[0] == 0.0
         assert resp.theta_grid[-1] == pytest.approx(math.pi)
         assert resp.label == "demo"
+
+
+def chain_model(p, rng):
+    """Linear model of a chain with a random pmf response and output."""
+    pi = invariant_pmf(p)
+    b = rng.normal(size=p.dim)
+    f = rng.normal(size=p.dim)
+    c = f - pi.mean(f)
+    return LinearModel(a=p.entries.T.copy(), b=b - b.mean(), c=c,
+                       sigma2=float(pi.weights @ c ** 2), zeta=0.0, pi=pi)
+
+
+def lazy_cycle(d, stay=0.05):
+    """Cycle that stays put with probability ``stay``: its Hessenberg
+    elimination swaps rows about once per angle."""
+    return StochasticMatrix(stay * np.eye(d)
+                            + (1.0 - stay) * np.roll(np.eye(d), 1, axis=1))
+
+
+def swaps_needed(model, thetas):
+    """Number of (angle, column) pairs at which the elimination swaps rows."""
+    d = model.dim
+    h, _ = linearize_module._hessenberg(
+        model.a - np.outer(model.pi.weights, np.ones(d)))
+    count = 0
+    for theta in thetas:
+        m = cmath.exp(1j * theta) * np.eye(d) - h
+        cur = m[0]
+        for j in range(d - 1):
+            nxt = m[j + 1, j:]
+            if abs(nxt[0]) > abs(cur[0]):
+                count += 1
+                cur, nxt = nxt, cur
+            cur = nxt[1:] - nxt[0] / cur[0] * cur[1:]
+    return count
+
+
+def assert_sweep_matches_oracle(model, theta_count):
+    """The batched sweep equals per-angle transfer_eval to 1e-12 relative."""
+    resp = positive_real_check(model, theta_count=theta_count)
+    want = np.array([transfer_eval(model, cmath.exp(1j * t))[0]
+                     for t in resp.theta_grid])
+    scale = np.abs(want).max()
+    assert np.abs(resp.g_values - want).max() <= 1e-12 * scale
+    assert 0.0 <= resp.max_residual <= linearize_module.SOLVE_TOL
+    return resp
+
+
+@pytest.fixture(scope="module")
+def pool_family():
+    model = build_pool_model(PoolModelSpec())
+    base, structure = synthesis_inputs(model, "compose")
+    return solve_design_ode(base, model.space, "ipd", 0.1, step=0.05,
+                            structure=structure)
+
+
+class TestTransferSweep:
+    def test_random_chains(self):
+        rng = np.random.default_rng(67)
+        for d in range(2, 10):
+            assert_sweep_matches_oracle(chain_model(random_chain(rng, d), rng),
+                                        theta_count=257)
+
+    def test_pool_ipd_family(self, pool_family):
+        model = linearize(pool_family, 0.05)
+        assert model.dim == 96
+        assert_sweep_matches_oracle(model, theta_count=512)
+
+    def test_spd_family(self):
+        chain = random_chain(np.random.default_rng(71), 5)
+        fam = solve_design_ode(chain, simple_space([1.0, 0.5, 0.0, -0.4, -1.1]),
+                               "spd", 0.5, step=0.01)
+        for zeta in (-0.5, 0.2):
+            assert_sweep_matches_oracle(linearize(fam, zeta), theta_count=300)
+
+    def test_endpoints(self, pool_family):
+        model = linearize(pool_family, -0.1)
+        resp = positive_real_check(model, theta_count=64)
+        for i, z in ((0, 1.0), (-1, -1.0)):
+            want, want_plus = transfer_eval(model, z)
+            assert abs(resp.g_values[i] - want) <= 1e-12 * abs(want)
+            assert abs(resp.g_plus_values[i] - want_plus) <= 1e-12 * abs(want)
+
+    def test_row_swaps(self):
+        model = chain_model(lazy_cycle(6), np.random.default_rng(73))
+        resp = assert_sweep_matches_oracle(model, theta_count=200)
+        assert swaps_needed(model, resp.theta_grid) > 100
+
+    def test_zero_leading_pivot(self):
+        # at z = H[0, 0] the first pivot of zI - H is exactly zero; only the
+        # row swap keeps the elimination finite
+        h = np.array([[0.5, 0.3, 0.1], [0.8, 0.2, 0.4], [0.0, 0.6, 0.1]])
+        rhs = np.array([1.0, -2.0, 0.5])
+        zs = np.array([0.5, 1.0, cmath.exp(0.4j), -1.0])
+        y = linearize_module._hessenberg_solve(h, rhs, zs)
+        for k, z in enumerate(zs):
+            want = np.linalg.solve(z * np.eye(3) - h, rhs)
+            assert np.abs(y[:, k] - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_count_not_a_multiple_of_block(self):
+        block = linearize_module.SWEEP_BLOCK
+        model = chain_model(random_chain(np.random.default_rng(79), 7),
+                            np.random.default_rng(83))
+        for count in (2, block - 1, block + 1, 2 * block + 44):
+            resp = assert_sweep_matches_oracle(model, theta_count=count)
+            assert len(resp.g_values) == count
+
+    def test_residual_check_raises(self, monkeypatch):
+        model = chain_model(random_chain(np.random.default_rng(89), 5),
+                            np.random.default_rng(97))
+        monkeypatch.setattr(linearize_module, "SOLVE_TOL", 1e-300)
+        with pytest.raises(NearSingular, match="ill-conditioned at z = "):
+            positive_real_check(model, theta_count=32)
+
+    def test_solve_count_does_not_grow_with_angles(self, pool_family,
+                                                   monkeypatch):
+        # a return to one dense solve per angle would make this 2048
+        model = linearize(pool_family, 0.0)
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: calls.append(1) or solve(*args))
+        counts = []
+        for theta_count in (16, 2048):
+            calls.clear()
+            positive_real_check(model, theta_count=theta_count)
+            counts.append(len(calls))
+        assert counts[1] == counts[0]
 
 
 class TestPsd:
