@@ -43,8 +43,8 @@ from .design import (DesignFamily, LoadStateSpace, _zero_direction,  # noqa: E40
                      solve_design_ode)
 from .errors import (BadCutoffs, DispatchError, IntegrationDiverged,  # noqa: E402
                      LatticeMismatch, ValidationError)
-from .fileio import (boolean, document, field, finite, integer,  # noqa: E402
-                     json_object, malformed, read_json, write_json)
+from .fileio import (FORMAT_VERSION, boolean, document, field, finite,  # noqa: E402
+                     integer, json_object, malformed, read_json, write_json)
 from .linearize import bode_export, linearize, positive_real_check  # noqa: E402
 from .loads import (LoadModel, PoolModelSpec, TclModelSpec,  # noqa: E402
                     build_pool_model, build_tcl_model, load_model, save_model,
@@ -219,8 +219,9 @@ def cmd_design(ns) -> int:
                                           ns.zeta_max, step=ns.step,
                                           structure=structure,
                                           model_hash=model.digest)
-    save_family(family, ns.out)
+    # every grid point's pmf is solved and checked here, before the write
     drops = int((np.diff(family.ubars) < -1e-8).sum())
+    save_family(family, ns.out)
     print(f"family kind={family.kind} route={ns.route} "
           f"grid=[{family.zeta_grid[0]:g}, {family.zeta_grid[-1]:g}] "
           f"points={family.zeta_grid.size}")
@@ -250,8 +251,8 @@ def cmd_analyze(ns) -> int:
               f"sigma2={resp.sigma2:.6g}")
     bode_export(responses, path=ns.out, sample_period=ns.sample_period)
     report_path = ns.report or (str(ns.out) + ".passivity.json")
-    write_json(report_path, {"format_version": 1, "payload": "passivity",
-                             "results": results})
+    write_json(report_path, {"format_version": FORMAT_VERSION,
+                             "payload": "passivity", "results": results})
     print(f"wrote {ns.out} and {report_path}")
     return EXIT_OK
 
@@ -368,8 +369,8 @@ def cmd_simulate(ns) -> int:
         signals.to_csv(ns.out)
     print(f"wrote {ns.out}")
     metrics_path = ns.metrics or (str(ns.out) + ".metrics.json")
-    write_json(metrics_path, {"format_version": 1, "payload": "metrics",
-                              "metrics": metrics})
+    write_json(metrics_path, {"format_version": FORMAT_VERSION,
+                              "payload": "metrics", "metrics": metrics})
     print(f"wrote {metrics_path}")
     return EXIT_OK
 

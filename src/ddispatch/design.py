@@ -19,6 +19,7 @@ steer the exogenous part.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import warnings
@@ -332,10 +333,12 @@ class DesignFamily:
     """One-parameter family of tilted kernels on a uniform command grid.
 
     Stores the design function h per grid point and regenerates kernels on
-    demand by tilting the stored base; the invariant pmf and mean output
-    per point are computed once at construction.  Command values between
-    grid points use linear interpolation of h; values beyond the grid ends
-    raise :class:`OutOfGrid`.
+    demand by tilting the stored base.  Construction checks the grid and,
+    once, the connectivity of the per-step kernel; the tilt and invariant
+    pmf at a command are computed and checked only when that command is
+    used.  ``ubars`` gives the mean output over the whole grid.
+    Command values between grid points use linear interpolation of h;
+    values beyond the grid ends raise :class:`OutOfGrid`.
     """
 
     def __init__(self, space: LoadStateSpace, base: StochasticMatrix, kind: str,
@@ -395,16 +398,12 @@ class DesignFamily:
         if not report.irreducible:
             raise NotIrreducible("per-step kernel is not irreducible")
 
-        pis = np.empty_like(h_grid)
-        ubars = np.empty(len(zeta_grid))
-        for i, zeta in enumerate(zeta_grid):
-            pis[i] = _checked_invariant_raw(self.kernel_at(zeta).entries,
-                                            f" at command {zeta:g}")
-            ubars[i] = pis[i] @ util_values
-        self.pis = pis
-        self.pis.setflags(write=False)
-        self.ubars = ubars
-        self.ubars.setflags(write=False)
+    @functools.cached_property
+    def ubars(self) -> np.ndarray:
+        """Mean output at every grid point (every point's pmf checked)."""
+        ubars = np.array([self.ubar_at(zeta) for zeta in self.zeta_grid])
+        ubars.setflags(write=False)
+        return ubars
 
     # -- grid lookup -------------------------------------------------------
 
@@ -451,16 +450,13 @@ class DesignFamily:
         return self._step_kernel(self.jump_kernel_at(zeta))
 
     def pi_at(self, zeta: float) -> Pmf:
-        i, frac = self._locate(zeta)
-        if frac is None:
-            return Pmf(self.pis[i])
-        return invariant_pmf(self.kernel_at(zeta))
+        """Invariant pmf of the per-step kernel, residual and sign checked."""
+        return Pmf(_checked_invariant_raw(self.kernel_at(zeta).entries,
+                                          f" at command {zeta:g}"))
 
     def ubar_at(self, zeta: float) -> float:
-        i, frac = self._locate(zeta)
-        if frac is None:
-            return float(self.ubars[i])
-        return float(self.pi_at(zeta).mean(self.space.util))
+        """Mean output under the invariant pmf at this command value."""
+        return self.pi_at(zeta).mean(self.space.util)
 
     def h_rate_at(self, zeta: float) -> np.ndarray:
         """Derivative of the design function in the command, d h / d zeta."""
@@ -655,8 +651,8 @@ def geometric_compose(family: DesignFamily, gamma: float) -> DesignFamily:
     """Reinterpret a direct family's kernels as jump kernels under lazy sampling.
 
     The per-step kernel becomes (1 - gamma) I + gamma S_zeta.  The design
-    grid is reused as-is; invariant pmfs are recomputed (they coincide with
-    the jump kernels' pmfs, which the constructor verifies).
+    grid is reused as-is.  The lazy mix keeps each jump kernel's invariant
+    pmf, so ``pi_at`` agrees with that of ``family`` up to solve roundoff.
     """
     if family.structure.sampling != "direct":
         raise ValidationError("family is already composed with a sampling rate")
@@ -709,8 +705,7 @@ def family_optimality_residual(family: DesignFamily, zeta: float) -> float:
     """
     h = family.h_at(zeta)
     jump = family.jump_kernel_at(zeta)
-    i, frac = family._locate(zeta)
-    pi = Pmf(family.pis[i]) if frac is None else invariant_pmf(jump)
+    pi = family.pi_at(zeta)
     eta = zeta * pi.mean(family.space.util) - relative_entropy_rate(
         jump, family.base, pi)
     return optimality_residual(h, eta, zeta, family.base, family.space)

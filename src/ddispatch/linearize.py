@@ -377,7 +377,11 @@ def _transfer_sweep(model: LinearModel, zs: np.ndarray) -> tuple[np.ndarray, flo
     Same deflated solve as :func:`transfer_eval`, from one Hessenberg
     reduction of A - pi 1^T: each z then costs O(d^2), and the z are taken
     SWEEP_BLOCK at a time.  Every solution passes the same finiteness and
-    residual test as the dense solve, in the original coordinates.
+    residual test as the dense solve, in the original coordinates.  An
+    eigendecomposition would make each z cheaper still, but the
+    eigenvectors of A - pi 1^T can be nearly dependent (condition ~9e13 on
+    the pool spd family at commands +-2), where it fails that residual
+    test; the orthogonal reduction does not.
     """
     deflated = model.a - np.outer(model.pi.weights, np.ones(model.dim))
     h, q = _hessenberg(deflated)
@@ -407,37 +411,22 @@ def _transfer_sweep(model: LinearModel, zs: np.ndarray) -> tuple[np.ndarray, flo
     return gs, worst
 
 
-def psd(model: LinearModel, theta_grid, k_max: int | None = None) -> np.ndarray:
+def psd(model: LinearModel, theta_grid) -> np.ndarray:
     """Output power spectral density on a grid of angles.
 
     S(theta) = sigma2 + 2 sum_{k >= 1} r_k cos(k theta), with lag
-    covariances r_k = C A^k B.  The sum is truncated once |r_k| falls
-    below 1e-14 * sigma2 (or at ``k_max``); mixing makes the tail decay
-    geometrically, so the truncation error is of the same order.
+    covariances r_k = C A^k B.  Since 1^T B = 0, z G(z) = sum_{k >= 0}
+    r_k z^(-k) on the unit circle, so the sum is Re G_plus - C B, taken
+    from the transfer sweep with no truncation.  Raises
+    :class:`UnstablePole` unless A is stable apart from its Perron root.
     """
     thetas = np.asarray(theta_grid, dtype=float)
     if model.sigma2 == 0.0:
         return np.zeros_like(thetas)
-    stop = 1e-14 * model.sigma2
-    cap = k_max if k_max is not None else 200_000
-    lags = []
-    cur = model.b.copy()
-    k = 0
-    while k < cap:
-        k += 1
-        cur = model.a @ cur
-        r = float(model.c @ cur)
-        lags.append(r)
-        if abs(r) < stop:
-            break
-    out = np.full_like(thetas, model.sigma2)
-    lags_arr = np.asarray(lags)
-    chunk = 512
-    for start in range(0, len(lags_arr), chunk):
-        ks = np.arange(start + 1, min(start + chunk, len(lags_arr)) + 1)
-        out += 2.0 * (lags_arr[start:start + chunk]
-                      @ np.cos(np.outer(ks, thetas)))
-    return out
+    _check_stable(model)
+    zs = np.exp(1j * thetas)
+    gs, _ = _transfer_sweep(model, zs)
+    return model.sigma2 + 2.0 * ((zs * gs).real - model.c @ model.b)
 
 
 def bode_export(responses, path=None, sample_period: float | None = None) -> str:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from ddispatch.cli import main
 from ddispatch.design import load_family
+from ddispatch.errors import SingularSystem
 from ddispatch.fileio import read_json, write_json
 from ddispatch.loads import load_model
 from ddispatch.sim import SignalSet
@@ -237,6 +239,23 @@ class TestDesign:
                     "--util-scale", "auto", "--out", out]) == 0
         assert load_family(out).zeta_grid[-1] == pytest.approx(3.0)
 
+    def test_failing_grid_point_writes_nothing(self, workdir, tmp_path, capsys,
+                                               monkeypatch):
+        design = importlib.import_module("ddispatch.design")
+        checked = design._checked_invariant_raw
+
+        def failing(p, where=""):
+            if where == " at command 0.4":
+                raise SingularSystem(f"injected failure{where}")
+            return checked(p, where)
+
+        monkeypatch.setattr(design, "_checked_invariant_raw", failing)
+        out = tmp_path / "f.json"
+        assert run(["design", "--model", workdir["model"], "--kind", "ipd",
+                    "--zeta-max", "0.8", "--step", "0.02", "--out", out]) == 4
+        assert "injected failure at command 0.4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_util_scale_rejects_garbage(self, workdir, tmp_path):
         for bad in ("nope", "0", "-3"):
             assert run(["design", "--model", workdir["model"], "--kind",
@@ -304,6 +323,20 @@ class TestAnalyze:
         assert run(["analyze", "--family", tmp_path / "f.json", "--zeta", "0",
                     "--out", tmp_path / "b.csv"]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_grid_point_checked_where_used(self, workdir, tmp_path, capsys):
+        doc = read_json(workdir["family"])
+        last = doc["zeta_grid"][-1]
+        doc["h_grid"][-1] = [0.0, 800.0, 0.0, 0.0]  # the tilt underflows there
+        family = tmp_path / "f.json"
+        write_json(family, doc)
+        load_family(family)
+        assert run(["analyze", "--family", family, "--zeta", "0",
+                    "--theta-count", "16", "--out", tmp_path / "b.csv"]) == 0
+        capsys.readouterr()
+        assert run(["analyze", "--family", family, "--zeta", f"{last:g}",
+                    "--theta-count", "16", "--out", tmp_path / "b.csv"]) == 4
+        assert "underflowed" in capsys.readouterr().err
 
     def test_passivity_report_has_residual(self, workdir, tmp_path):
         out = tmp_path / "bode.csv"

@@ -30,6 +30,7 @@ from ddispatch.errors import (
     OutOfGrid,
     ValidationError,
 )
+from ddispatch.loads import PoolModelSpec, build_pool_model, synthesis_inputs
 from ddispatch.markov import (
     StateFunction,
     StochasticMatrix,
@@ -428,6 +429,42 @@ class TestFamilyContainer:
         np.testing.assert_allclose(prof, 1.0, atol=1e-12)
 
 
+def count_solves(monkeypatch):
+    """Record every np.linalg.solve call from now on; returns the record."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
+
+
+class TestPmfsOnDemand:
+    def test_load_solves_nothing(self, tmp_path, monkeypatch):
+        fam = build_exponential_family(random_chain(np.random.default_rng(3), 4),
+                                       simple_space([0.0, 1.0, 2.0, 3.0]),
+                                       "myopic", 3.0, step=0.01)
+        assert fam.zeta_grid.size == 601
+        save_family(fam, tmp_path / "family.json")
+        calls = count_solves(monkeypatch)
+        back = load_family(tmp_path / "family.json")
+        assert len(calls) == 0
+        back.pi_at(1.5)
+        assert len(calls) == 2
+
+    def test_ubars_is_ubar_at_over_the_grid(self, monkeypatch):
+        fam = ode_family(zeta_max=0.5)
+        want = np.array([fam.ubar_at(z) for z in fam.zeta_grid])
+        got = fam.ubars
+        assert got.tobytes() == want.tobytes()
+        calls = count_solves(monkeypatch)
+        assert fam.ubars is got
+        assert len(calls) == 0
+
+
 class TestComposedFamilies:
     def test_compose_mixes_identity(self):
         fam = ode_family(zeta_max=0.5)
@@ -564,3 +601,41 @@ class TestOptimalityResidual:
         space = simple_space([1.0, 0.5, -0.5, -1.0])
         assert optimality_residual(np.zeros(4), 0.0, 1.0, base, space) > 0.4
 
+
+def perron_h(base, util, zeta, anchor=0):
+    """log v - log v[anchor], v the Perron vector of diag(exp(zeta util)) P0."""
+    eigvals, eigvecs = np.linalg.eig(np.exp(zeta * util)[:, None] * base.entries)
+    v = np.abs(eigvecs[:, np.argmax(eigvals.real)].real)
+    return np.log(v) - np.log(v[anchor])
+
+
+def perron_error(fam):
+    """Worst gap between the ODE's h and the Perron h at a few commands."""
+    util = fam.space.util.values
+    return max(np.abs(fam.h_at(z) - perron_h(fam.base, util, z, fam.space.anchor)).max()
+               for z in (-1.0, -0.5, 0.5, 1.0))
+
+
+class TestIpdPerronOracle:
+    """For n_exo = 1 the ipd design solves a multiplicative Poisson equation:
+    exp(h) is the Perron eigenvector of diag(exp(zeta util)) P0 (Kontoyiannis
+    and Meyn, Ann. Appl. Probab. 13(1), 2003), independent of the ODE."""
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_dirichlet_chains(self, d):
+        for step in (0.02, 0.01):
+            assert perron_error(ode_family(d=d, step=step)) <= 0.05 * step ** 4
+
+    def test_error_is_fourth_order(self):
+        ratio = (perron_error(ode_family(d=3, step=0.02))
+                 / perron_error(ode_family(d=3, step=0.01)))
+        assert 12.0 <= ratio <= 20.0
+
+    def test_scaled_pool_jump_kernel(self):
+        pool = build_pool_model(PoolModelSpec())
+        base, structure = synthesis_inputs(pool, "compose")
+        scale = np.abs(ipd_map(base, pool.space.util).values).max()
+        space = simple_space(pool.space.util.values / scale, anchor=pool.space.anchor)
+        fam = solve_design_ode(base, space, "ipd", 1.0, step=0.01,
+                               structure=structure)
+        assert perron_error(fam) <= 0.05 * 0.01 ** 4

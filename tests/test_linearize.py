@@ -470,6 +470,13 @@ class TestPsd:
         gap = np.abs(2.0 * resp.g_plus_values.real - model.sigma2 - spectrum)
         assert gap.max() <= 1e-8
 
+    def test_second_unit_modulus_eigenvalue_rejected(self):
+        pi = Pmf(np.array([0.5, 0.5]))
+        model = LinearModel(a=np.eye(2), b=np.array([0.5, -0.5]),
+                            c=np.array([1.0, -1.0]), sigma2=1.0, zeta=0.0, pi=pi)
+        with pytest.raises(UnstablePole):
+            psd(model, np.linspace(0.0, math.pi, 9))
+
 
 class TestBodeExport:
     def test_empty_is_header_only(self):
