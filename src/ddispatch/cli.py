@@ -44,7 +44,7 @@ from .design import (DesignFamily, LoadStateSpace, _zero_direction,  # noqa: E40
 from .errors import (BadCutoffs, DispatchError, IntegrationDiverged,  # noqa: E402
                      LatticeMismatch, ValidationError)
 from .fileio import (FORMAT_VERSION, boolean, document, field, finite,  # noqa: E402
-                     integer, json_object, malformed, read_json, write_json)
+                     integer, json_object, malformed, numbers, read_json, write_json)
 from .linearize import bode_export, linearize, positive_real_check  # noqa: E402
 from .loads import (LoadModel, PoolModelSpec, TclModelSpec,  # noqa: E402
                     build_pool_model, build_tcl_model, load_model, save_model,
@@ -169,9 +169,8 @@ def cmd_model(ns) -> int:
 
 def _custom_model(doc: dict) -> LoadModel:
     with malformed("custom spec"):
-        s0 = StochasticMatrix(np.asarray(doc["entries"], dtype=float))
-        util = StateFunction(np.asarray(doc["util"], dtype=float),
-                             units=str(doc.get("units", "")))
+        s0 = StochasticMatrix(numbers(doc["entries"], 2))
+        util = StateFunction(numbers(doc["util"], 1), units=str(doc.get("units", "")))
         space = LoadStateSpace(n_control=s0.dim, n_exo=1, util=util,
                                anchor=integer(doc.get("anchor", 0)))
         return LoadModel(kind="custom", spec_doc=doc, space=space, s0=s0,
@@ -277,11 +276,10 @@ def _reference(doc, steps: int) -> np.ndarray:
 
 def _controller(doc) -> TrackingConfig:
     doc = json_object(doc, "controller")
-    anti_windup = field(doc, "anti_windup", boolean, True)
-    with malformed("controller"):
-        return TrackingConfig(kind=doc.get("kind", "pi"), kp=doc.get("kp"),
-                              ki=doc.get("ki"), zeta_limit=doc.get("zeta_limit"),
-                              anti_windup=anti_windup)
+    return TrackingConfig(kind=doc.get("kind", "pi"), kp=field(doc, "kp", finite, None),
+                          ki=field(doc, "ki", finite, None),
+                          zeta_limit=field(doc, "zeta_limit", finite, None),
+                          anti_windup=field(doc, "anti_windup", boolean, True))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -38,7 +38,7 @@ from .errors import (
     ZeroMass,
 )
 from .fileio import (FORMAT_VERSION, boolean, document, field, finite, integer,
-                     json_object, malformed, read_json, write_json)
+                     json_object, malformed, numbers, read_json, write_json)
 from .markov import (
     Pmf,
     StateFunction,
@@ -147,10 +147,9 @@ class LoadStateSpace:
         return cls(
             n_control=integer(doc["n_control"]),
             n_exo=integer(doc["n_exo"]),
-            util=StateFunction(np.asarray(doc["util"], dtype=float),
-                               doc.get("util_units", "")),
+            util=StateFunction(numbers(doc["util"], 1), doc.get("util_units", "")),
             anchor=field(doc, "anchor", integer, 0),
-            exo_kernel=None if exo is None else StochasticMatrix(np.asarray(exo, dtype=float)),
+            exo_kernel=None if exo is None else StochasticMatrix(numbers(exo, 2)),
         )
 
 
@@ -298,10 +297,11 @@ def _zero_direction(kind: str, base: StochasticMatrix,
 class FamilyStructure:
     """How a family's kernels relate to the physical sampling mechanism.
 
-    ``sampling == "direct"`` means the family kernels are the per-step
-    kernels themselves.  ``sampling == "composed"`` means each family
-    kernel S is a jump kernel applied only at opportunity epochs, and the
-    per-step kernel is (1 - gamma) I + gamma S.
+    Each family kernel S is a jump kernel that a load applies with
+    probability ``sampling_rate`` per step, staying put otherwise: the
+    per-step kernel is (1 - rate) I + rate S.  ``"composed"`` sampling has
+    rate gamma; ``"direct"`` is the same rule at rate 1, where the family
+    kernels are the per-step kernels themselves.
     """
 
     sampling: str = "direct"
@@ -316,6 +316,11 @@ class FamilyStructure:
                 raise ValidationError("composed sampling needs gamma in (0, 1]")
         elif self.gamma is not None:
             raise ValidationError("gamma only applies to composed sampling")
+
+    @property
+    def sampling_rate(self) -> float:
+        """gamma when composed, 1.0 when direct."""
+        return self.gamma if self.sampling == "composed" else 1.0
 
     def to_json(self) -> dict:
         return {"sampling": self.sampling, "gamma": self.gamma,
@@ -334,9 +339,9 @@ class DesignFamily:
 
     Stores the design function h per grid point and regenerates kernels on
     demand by tilting the stored base.  Construction checks the grid and,
-    once, the connectivity of the per-step kernel; the tilt and invariant
-    pmf at a command are computed and checked only when that command is
-    used.  ``ubars`` gives the mean output over the whole grid.
+    once, the connectivity of the untilted per-step kernel; the tilt and
+    invariant pmf at a command are computed and checked only when that
+    command is used.  ``ubars`` gives the mean output over the whole grid.
     Command values between grid points use linear interpolation of h;
     values beyond the grid ends raise :class:`OutOfGrid`.
     """
@@ -391,10 +396,9 @@ class DesignFamily:
         util_values = as_values(space.util)
         self.trivial = bool(util_values.max() - util_values.min() < 1e-12)
 
-        # Support is constant along the family (tilting preserves it), so a
-        # single connectivity check on the per-step kernel at the first grid
-        # point covers every command value.
-        report = check_irreducible_aperiodic(self.kernel_at(zeta_grid[0]))
+        # Tilting keeps the support, so the untilted per-step kernel has the
+        # connectivity of every command's per-step kernel.
+        report = check_irreducible_aperiodic(geometric_mix(base, structure.sampling_rate))
         if not report.irreducible:
             raise NotIrreducible("per-step kernel is not irreducible")
 
@@ -435,19 +439,13 @@ class DesignFamily:
         """Lifted pair function driving the tilt at this command value."""
         return lift_control(self.space, self.h_at(zeta))
 
-    def _step_kernel(self, jump: StochasticMatrix) -> StochasticMatrix:
-        """Per-step kernel run by each load when ``jump`` is the jump kernel."""
-        if self.structure.sampling == "composed":
-            return geometric_mix(jump, self.structure.gamma)
-        return jump
-
     def jump_kernel_at(self, zeta: float) -> StochasticMatrix:
         """Tilted kernel before any lazy composition."""
         return StochasticMatrix(_tilt_at_h(self.base, self.space, self.h_at(zeta)))
 
     def kernel_at(self, zeta: float) -> StochasticMatrix:
         """Per-step kernel actually run by each load."""
-        return self._step_kernel(self.jump_kernel_at(zeta))
+        return geometric_mix(self.jump_kernel_at(zeta), self.structure.sampling_rate)
 
     def pi_at(self, zeta: float) -> Pmf:
         """Invariant pmf of the per-step kernel, residual and sign checked."""
@@ -502,12 +500,12 @@ class DesignFamily:
         gen = doc.get("generator")
         return cls(
             space=LoadStateSpace.from_json(doc["space"]),
-            base=StochasticMatrix(np.asarray(doc["base"], dtype=float)),
+            base=StochasticMatrix(numbers(doc["base"], 2)),
             kind=doc["kind"],
             structure=FamilyStructure.from_json(doc["structure"]),
-            zeta_grid=np.asarray(doc["zeta_grid"], dtype=float),
-            h_grid=np.asarray(doc["h_grid"], dtype=float),
-            generator=None if gen is None else np.asarray(gen, dtype=float),
+            zeta_grid=numbers(doc["zeta_grid"], 1),
+            h_grid=numbers(doc["h_grid"], 2),
+            generator=None if gen is None else numbers(gen, 1),
             model_hash=doc.get("model_hash"),
             synthesis=doc.get("synthesis"),
         )

@@ -6,10 +6,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
 import tempfile
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -87,22 +90,37 @@ def field(doc: dict, key: str, cast, default):
 
 
 def integer(value) -> int:
-    """A whole number as an int; ``1.5`` and ``true`` are rejected, not
-    truncated or read as 1."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    """A whole number as an int; ``1.5``, ``true`` and ``"1"`` are rejected,
+    not truncated or read as 1."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float)
+                                          and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
 def finite(value) -> float:
-    """``value`` as a float; NaN, infinities and booleans are rejected."""
-    if isinstance(value, bool):
+    """``value`` as a float; NaN, infinities, booleans and strings are
+    rejected."""
+    if isinstance(value, (bool, str)):
         raise ValueError(f"{value!r} is not a number")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{value!r} is not a finite number")
     return number
+
+
+def numbers(value, ndim: int) -> np.ndarray:
+    """A JSON array nested ``ndim`` deep with a finite number at every leaf,
+    as a float array.  ``true``, ``"1.5"`` and ``null`` are rejected, not
+    read as 1.0, 1.5 or NaN, and so are NaN and the infinities."""
+    leaves = value
+    for _ in range(ndim - 1):
+        leaves = itertools.chain.from_iterable(leaves)
+    if isinstance(value, list) and {int, float}.issuperset(map(type, leaves)):
+        array = np.asarray(value, dtype=float)
+        if array.ndim == ndim and np.isfinite(array).all():
+            return array
+    raise ValueError(f"expected an array nested {ndim} deep of finite numbers")
 
 
 def boolean(value) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NearSingular, UnstablePole, ValidationError
 from .fileio import atomic_write_text
-from .markov import Pmf, StochasticMatrix, as_values, _frozen, _reversal_raw
+from .markov import Pmf, StochasticMatrix, as_values, geometric_mix, _frozen, _reversal_raw
 
 __all__ = [
     "LinearModel",
@@ -71,18 +71,11 @@ def family_kernel_derivative(family, zeta: float) -> np.ndarray:
 
     Uses the family's own rate function (the design map for ODE families,
     the fixed direction for exponential ones), never finite differences.
-    For composed families the per-step kernel is a lazy mix, so the jump
+    The per-step kernel is a lazy mix of the jump kernel, so the jump
     kernel derivative is scaled by the sampling rate.
     """
-    return _per_step_rate(family, kernel_derivative(family.jump_kernel_at(zeta),
-                                                    family.pair_rate_at(zeta)))
-
-
-def _per_step_rate(family, jump_rate):
-    """Scale a jump-kernel derivative by the sampling rate of composed families."""
-    if family.structure.sampling == "composed":
-        return family.structure.gamma * jump_rate
-    return jump_rate
+    return family.structure.sampling_rate * kernel_derivative(
+        family.jump_kernel_at(zeta), family.pair_rate_at(zeta))
 
 
 def _successor_only(pair: np.ndarray) -> bool:
@@ -137,19 +130,20 @@ class LinearModel:
 
 def linearize(family, zeta: float) -> LinearModel:
     """Linear response model of a design family at one command value."""
+    rate = family.structure.sampling_rate
     jump = family.jump_kernel_at(zeta)
-    kern = family._step_kernel(jump)
+    kern = geometric_mix(jump, rate)
     pi = family.pi_at(zeta)
     pair = family.pair_rate_at(zeta)
     util = as_values(family.space.util, kern.dim)
     ctr = util - float(pi.mean(util))
     sigma2 = float(pi.weights @ ctr ** 2)
-    deriv = _per_step_rate(family, kernel_derivative(jump, pair))
+    deriv = rate * kernel_derivative(jump, pair)
     b = deriv.T @ pi.weights
     model = LinearModel(a=kern.entries.T.copy(), b=b, c=ctr,
                         sigma2=sigma2, zeta=zeta, pi=pi)
     if _successor_only(pair) and pi.weights.min() > 0.0:
-        alt = _b_adjoint(family, jump.entries, pair, pi.weights)
+        alt = _b_adjoint(rate, jump.entries, pair, pi.weights)
         gap = np.abs(alt - b).max()
         if gap > 1e-10 * max(1.0, np.abs(b).max()):
             raise ValidationError(
@@ -166,21 +160,21 @@ def b_adjoint_form(family, zeta: float) -> np.ndarray:
         b(x) = pi(x) * (pair(x) - (S-dagger S pair)(x)),
 
     with S the jump kernel and S-dagger its time reversal, scaled by the
-    sampling rate for composed families.  Pure matrix algebra; no solves.
+    sampling rate.  Pure matrix algebra; no solves.
     """
     pair = family.pair_rate_at(zeta)
     if not _successor_only(pair):
         raise ValidationError(
             "time-reversal form needs a rate depending on the successor only"
         )
-    return _b_adjoint(family, family.jump_kernel_at(zeta).entries, pair,
-                      family.pi_at(zeta).weights)
+    return _b_adjoint(family.structure.sampling_rate, family.jump_kernel_at(zeta).entries,
+                      pair, family.pi_at(zeta).weights)
 
 
-def _b_adjoint(family, s: np.ndarray, pair: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _b_adjoint(sampling_rate, s: np.ndarray, pair: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Time-reversal form of b from the jump kernel, rate pair and pmf."""
     h = pair[0]
-    return _per_step_rate(family, w * (h - _reversal_raw(s, w) @ (s @ h)))
+    return sampling_rate * (w * (h - _reversal_raw(s, w) @ (s @ h)))
 
 
 def _deflated_solve(model: LinearModel, z: complex) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from .design import FamilyStructure, LoadStateSpace, model_digest
 from .errors import InfeasibleDutyCycle, LatticeMismatch, ValidationError
 from .fileio import (FORMAT_VERSION, atomic_write_text, document, finite,
-                     json_object, malformed, read_json, spec_from_json,
+                     json_object, malformed, numbers, read_json, spec_from_json,
                      write_json)
 from .markov import Pmf, StateFunction, StochasticMatrix, geometric_mix, invariant_pmf
 
@@ -192,10 +192,10 @@ class LoadModel:
             kind=doc["kind"],
             spec_doc=json_object(doc["spec"], "spec"),
             space=LoadStateSpace.from_json(doc["space"]),
-            s0=StochasticMatrix(np.asarray(doc["s0"], dtype=float)),
+            s0=StochasticMatrix(numbers(doc["s0"], 2)),
             gamma=finite(doc["gamma"]),
             diagnostics=json_object(doc.get("diagnostics", {}), "diagnostics"),
-            r0=None if r0 is None else np.asarray(r0, dtype=float),
+            r0=None if r0 is None else numbers(r0, 2),
         )
 
 

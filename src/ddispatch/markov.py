@@ -351,10 +351,12 @@ def compose(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
 
 
 def geometric_mix(s: StochasticMatrix, gamma: float) -> StochasticMatrix:
-    """Lazy chain (1 - gamma) I + gamma S."""
+    """Lazy chain (1 - gamma) I + gamma S; ``s`` itself at gamma = 1."""
     _require_square(s, "geometric mix")
     if not (0.0 < gamma <= 1.0):
         raise ValidationError(f"gamma must lie in (0, 1], got {gamma!r}")
+    if gamma == 1.0:
+        return s
     return StochasticMatrix((1.0 - gamma) * np.eye(s.dim) + gamma * s.entries)
 
 

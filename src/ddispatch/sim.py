@@ -295,10 +295,12 @@ def track(family, reference, config: TrackingConfig | None = None,
     r_frac = np.atleast_1d(np.asarray(reference, dtype=float))
     if plant not in ("meanfield", "fleet"):
         raise ValidationError(f"unknown plant {plant!r}")
-    ubar0 = family.ubar_at(0.0)
+    nominal = linearize(family, 0.0)
+    pi0 = nominal.pi
+    ubar0 = pi0.mean(family.space.util)
     if abs(ubar0) < 1e-12:
         raise ValidationError("nominal average power is zero; nothing to track")
-    gain = dc_gain(linearize(family, 0.0)) / ubar0  # fractional power per unit command
+    gain = dc_gain(nominal) / ubar0  # fractional power per unit command
     if abs(gain) < 1e-12:
         raise ValidationError("zero DC gain; the command has no effect")
     kp = config.kp if config.kp is not None else 0.25 / gain
@@ -310,9 +312,9 @@ def track(family, reference, config: TrackingConfig | None = None,
         lo, hi = 0.9 * grid[0], 0.9 * grid[-1]
 
     if plant == "fleet":
-        state, rng = fleet_init(family, n, seed)
+        state, rng = fleet_init(family, n, seed, mu0=pi0)
     else:
-        mu = family.pi_at(0.0)
+        mu = pi0
 
     steps = r_frac.size
     r_abs = ubar0 * (1.0 + r_frac)

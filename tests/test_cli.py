@@ -85,8 +85,10 @@ class TestModel:
                     "--out", tmp_path / "x.json"]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", [{"rungs": True}, {"power_kw": False}],
-                             ids=["int_field_true", "float_field_false"])
+    @pytest.mark.parametrize("doc", [{"rungs": True}, {"power_kw": False},
+                                     {"power_kw": "1.1"}],
+                             ids=["int_field_true", "float_field_false",
+                                  "float_field_text"])
     def test_boolean_spec_field(self, tmp_path, capsys, doc):
         spec = tmp_path / "spec.json"
         write_json(spec, doc)
@@ -116,6 +118,17 @@ class TestModel:
                           "util": [0.0, 1.0]})
         assert run(["model", "--kind", "custom", "--spec", spec,
                     "--out", tmp_path / "x.json"]) == 3
+
+    @pytest.mark.parametrize("doc", [
+        {"entries": [[0.5, 0.5], [True, 0.0]], "util": [0.0, 1.0]},
+        {"entries": [[0.5, 0.5], [0.5, 0.5]], "util": [0.0, "1.0"]},
+    ], ids=["entries_true", "util_text"])
+    def test_custom_arrays_take_numbers_only(self, tmp_path, capsys, doc):
+        spec = tmp_path / "spec.json"
+        write_json(spec, doc)
+        assert run(["model", "--kind", "custom", "--spec", spec,
+                    "--out", tmp_path / "x.json"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_custom_needs_spec(self, tmp_path):
         assert run(["model", "--kind", "custom",
@@ -175,7 +188,10 @@ class TestDesign:
         ("format_version", 1.5),
         ("format_version", True),
         ("gamma", True),
-    ], ids=["format_version_fractional", "format_version_true", "gamma_true"])
+        ("gamma", "0.3"),
+        ("s0", [[0.25, 0.25, 0.25, "0.25"]] + [[0.25] * 4] * 3),
+    ], ids=["format_version_fractional", "format_version_true", "gamma_true",
+            "gamma_text", "s0_text"])
     def test_model_field_wrong_number(self, workdir, tmp_path, capsys, key, value):
         doc = read_json(workdir["model"])
         doc[key] = value
@@ -292,8 +308,10 @@ class TestAnalyze:
         ("structure", []),
         ("format_version", 1.5),
         ("format_version", True),
+        ("format_version", "1"),
     ], ids=["no_kind", "format_version_text", "zeta_grid_text", "space_list",
-            "structure_list", "format_version_fractional", "format_version_true"])
+            "structure_list", "format_version_fractional", "format_version_true",
+            "format_version_number_text"])
     def test_malformed_family(self, workdir, tmp_path, capsys, key, value):
         doc = read_json(workdir["family"])
         if value is None:
@@ -313,8 +331,14 @@ class TestAnalyze:
         ("structure", "has_exogenous", "no"),
         ("structure", "has_exogenous", 0),
         ("structure", "gamma", True),
+        ("h_grid", 1, [0.0, True, 0.0, 0.0]),
+        ("zeta_grid", 0, "-0.8"),
+        ("zeta_grid", -1, float("nan")),
+        ("space", "util", [0.5, 1.0, 1.5, "2.0"]),
     ], ids=["anchor_fractional", "anchor_true", "n_control_fractional",
-            "has_exogenous_text", "has_exogenous_number", "gamma_true"])
+            "has_exogenous_text", "has_exogenous_number", "gamma_true",
+            "h_grid_true", "zeta_grid_entry_text", "zeta_grid_last_nan",
+            "util_entry_text"])
     def test_malformed_nested_family_field(self, workdir, tmp_path, capsys,
                                            section, key, value):
         doc = read_json(workdir["family"])
@@ -324,17 +348,18 @@ class TestAnalyze:
                     "--out", tmp_path / "b.csv"]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
-    def test_grid_point_checked_where_used(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize("row", [0, -1], ids=["first_row", "last_row"])
+    def test_grid_point_checked_where_used(self, workdir, tmp_path, capsys, row):
         doc = read_json(workdir["family"])
-        last = doc["zeta_grid"][-1]
-        doc["h_grid"][-1] = [0.0, 800.0, 0.0, 0.0]  # the tilt underflows there
+        bad = doc["zeta_grid"][row]
+        doc["h_grid"][row] = [0.0, 800.0, 0.0, 0.0]  # the tilt underflows there
         family = tmp_path / "f.json"
         write_json(family, doc)
         load_family(family)
         assert run(["analyze", "--family", family, "--zeta", "0",
                     "--theta-count", "16", "--out", tmp_path / "b.csv"]) == 0
         capsys.readouterr()
-        assert run(["analyze", "--family", family, "--zeta", f"{last:g}",
+        assert run(["analyze", "--family", family, "--zeta", f"{bad:g}",
                     "--theta-count", "16", "--out", tmp_path / "b.csv"]) == 4
         assert "underflowed" in capsys.readouterr().err
 
@@ -377,6 +402,19 @@ class TestSimulate:
                     "--metrics", tmp_path / "m.json"]) == 0
         metrics = read_json(tmp_path / "m.json")["metrics"]
         assert "rms_error" in metrics
+
+    def test_sine_reference_column(self, workdir, tmp_path):
+        scenario = workdir["root"] / "sine.json"
+        write_json(scenario, {
+            "format_version": 1, "payload": "scenario", "mode": "track",
+            "family": "family.json", "steps": 120,
+            "reference": {"kind": "sine", "amplitude": 0.03, "period_steps": 50},
+        })
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--scenario", scenario, "--out", out]) == 0
+        ubar0 = load_family(workdir["family"]).ubar_at(0.0)
+        expected = ubar0 * (1.0 + 0.03 * np.sin(2.0 * np.pi * np.arange(120) / 50.0))
+        assert np.array_equal(SignalSet.from_csv(out.read_text())["reference"], expected)
 
     def test_fleet_reproducible(self, workdir, tmp_path):
         scenario = workdir["root"] / "fleet.json"
@@ -429,14 +467,22 @@ class TestSimulate:
         {"mode": "constant", "family": None, "zeta": False},
         {"mode": "constant", "family": None, "steps": True, "zeta": False},
         {"mode": "constant", "family": None, "period_s": True},
+        {"mode": "constant", "family": None, "steps": "50"},
+        {"mode": "constant", "family": None, "format_version": "1"},
+        {"mode": "constant", "family": None, "period_s": "300"},
+        {"mode": "track", "family": None, "controller": {"kp": True}},
+        {"mode": "track", "family": None, "controller": {"ki": False}},
+        {"mode": "track", "family": None, "controller": {"zeta_limit": True}},
     ], ids=["no_family", "steps_not_integer", "top_level_list", "controller_list",
             "steps_negative", "settle_not_below_steps", "settle_negative",
             "seed_negative", "seed_fractional", "zeta_nan", "amplitude_inf",
             "period_steps_zero", "anti_windup_text", "plant_unknown",
-            "steps_true", "zeta_false", "steps_true_zeta_false", "period_s_true"])
+            "steps_true", "zeta_false", "steps_true_zeta_false", "period_s_true",
+            "steps_text", "format_version_text", "period_s_text", "kp_true",
+            "ki_false", "zeta_limit_true"])
     def test_malformed_scenario(self, workdir, tmp_path, capsys, doc):
         if isinstance(doc, dict):
-            doc = dict(doc, format_version=1, payload="scenario")
+            doc = dict({"format_version": 1, "payload": "scenario"}, **doc)
             if "family" in doc:
                 doc["family"] = str(workdir["family"])
         scenario = tmp_path / "s.json"
@@ -492,8 +538,10 @@ class TestDecompose:
         "# period_s=abc\nt_s,g\n0,1.0\n60,2.0\n",
         "# period_s=60.0\nt_s,g\n0,1.0\n60,inf\n120,1.0\n",
         "# period_s=nan\nt_s,g\n0,1.0\n60,2.0\n",
+        "t_s,g\n0,1.0\n",
     ], ids=["cell_not_numeric", "row_too_wide", "row_too_narrow",
-            "period_not_numeric", "sample_not_finite", "period_not_finite"])
+            "period_not_numeric", "sample_not_finite", "period_not_finite",
+            "period_not_inferable"])
     def test_malformed_signal(self, tmp_path, capsys, text):
         sig = tmp_path / "sig.csv"
         sig.write_text(text)

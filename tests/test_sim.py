@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from ddispatch import BadCutoffs, OutOfGrid, ValidationError
-from ddispatch.design import LoadStateSpace, solve_design_ode
-from ddispatch.linearize import linearize, transfer_eval
+from ddispatch import design
+from ddispatch.design import LoadStateSpace, build_exponential_family, solve_design_ode
+from ddispatch.linearize import dc_gain, linearize, transfer_eval
 from ddispatch.markov import Pmf, StateFunction, StochasticMatrix, invariant_pmf
 from ddispatch.sim import (
     FleetState,
@@ -259,6 +260,37 @@ class TestTracking:
         assert np.array_equal(a["output"], b["output"])
         assert np.array_equal(a["zeta"], b["zeta"])
 
+    @pytest.mark.parametrize("k", [0.25, 1.0])
+    @pytest.mark.parametrize("r", [0.01, 0.02])
+    def test_proportional_loop_settles_at_static_law(self, fam, r, k):
+        # with loop gain k = kp * (fractional DC gain), a constant reference
+        # r settles at the fractional deviation k r / (1 + k)
+        ubar0 = fam.ubar_at(0.0)
+        kp = k * ubar0 / dc_gain(linearize(fam, 0.0))
+        out = track(fam, r * np.ones(300), TrackingConfig(kind="proportional", kp=kp))
+        settled = out["output"][-1] / ubar0 - 1.0
+        assert settled == pytest.approx(k * r / (1.0 + k), rel=0.02)
+
+    @pytest.mark.parametrize("plant", ["meanfield", "fleet"])
+    def test_one_nominal_pmf_solve_per_call(self, fam, monkeypatch, plant):
+        solves = []
+        checked = design._checked_invariant_raw
+
+        def counted(p, where=""):
+            solves.append(where)
+            return checked(p, where)
+
+        monkeypatch.setattr(design, "_checked_invariant_raw", counted)
+        track(fam, 0.01 * np.ones(5), plant=plant, n=50)
+        assert solves == [" at command 0"]
+
+    def test_zero_nominal_power_rejected(self):
+        space = LoadStateSpace(n_control=3, n_exo=1, util=StateFunction(np.zeros(3)))
+        chain = StochasticMatrix(np.full((3, 3), 1.0 / 3.0))
+        family = build_exponential_family(chain, space, "myopic", 0.5, step=0.1)
+        with pytest.raises(ValidationError, match="nominal average power is zero"):
+            track(family, np.zeros(10))
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             TrackingConfig(kind="bang_bang")
@@ -288,6 +320,11 @@ class TestSignalSet:
         assert list(back.samples) == ["reference", "zeta"]
         for name in s.samples:
             assert np.array_equal(back[name], s[name])
+
+    def test_csv_period_inferred_from_times(self):
+        back = SignalSet.from_csv("t_s,y\n0,1.0\n60,2.0\n")
+        assert back.period_s == 60.0
+        assert np.array_equal(back["y"], [1.0, 2.0])
 
     def test_csv_write_to_disk(self, tmp_path):
         s = SignalSet(period_s=1.0, samples={"y": [1.0, 2.0, 3.0]})
