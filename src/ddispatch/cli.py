@@ -44,7 +44,8 @@ from .design import (DesignFamily, LoadStateSpace, _zero_direction,  # noqa: E40
 from .errors import (BadCutoffs, DispatchError, IntegrationDiverged,  # noqa: E402
                      LatticeMismatch, ValidationError)
 from .fileio import (FORMAT_VERSION, boolean, document, field, finite,  # noqa: E402
-                     integer, json_object, malformed, numbers, read_json, write_json)
+                     integer, json_object, malformed, numbers, read_json, string,
+                     write_json)
 from .linearize import bode_export, linearize, positive_real_check  # noqa: E402
 from .loads import (LoadModel, PoolModelSpec, TclModelSpec,  # noqa: E402
                     build_pool_model, build_tcl_model, load_model, save_model,
@@ -170,7 +171,8 @@ def cmd_model(ns) -> int:
 def _custom_model(doc: dict) -> LoadModel:
     with malformed("custom spec"):
         s0 = StochasticMatrix(numbers(doc["entries"], 2))
-        util = StateFunction(numbers(doc["util"], 1), units=str(doc.get("units", "")))
+        util = StateFunction(numbers(doc["util"], 1),
+                             units=field(doc, "units", string, ""))
         space = LoadStateSpace(n_control=s0.dim, n_exo=1, util=util,
                                anchor=integer(doc.get("anchor", 0)))
         return LoadModel(kind="custom", spec_doc=doc, space=space, s0=s0,

@@ -6,7 +6,9 @@ scalar command ``zeta`` moves every load to a tilted kernel
     P_zeta(x, x') = P0(x, x') * exp(h(x, x') - Lambda_h(x)),
 
 where ``h`` is a pair function chosen by a design rule and ``Lambda_h`` is
-the per-row log normalizer.  This module provides the tilt itself, the two
+the per-row log normalizer.  A tilt never leaves the support of P0, so it
+is computed on P0's nonzeros only, in O(nnz); a d x d kernel is built only
+where a caller needs one.  This module provides the tilt itself, the two
 design rules (individual-perspective and system-perspective), the
 continuation ODE that integrates either rule over a range of commands, and
 a serializable container for the resulting one-parameter kernel family.
@@ -24,6 +26,7 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,11 +41,12 @@ from .errors import (
     ZeroMass,
 )
 from .fileio import (FORMAT_VERSION, boolean, document, field, finite, integer,
-                     json_object, malformed, numbers, read_json, write_json)
+                     json_object, malformed, numbers, read_json, string, write_json)
 from .markov import (
     Pmf,
     StateFunction,
     StochasticMatrix,
+    _check_row_sums,
     _checked_invariant_raw,
     _invariant_raw,
     _poisson_raw,
@@ -57,7 +61,6 @@ from .markov import (
 
 __all__ = [
     "LoadStateSpace",
-    "NormalizerCache",
     "FamilyStructure",
     "DesignFamily",
     "lift_control",
@@ -147,10 +150,25 @@ class LoadStateSpace:
         return cls(
             n_control=integer(doc["n_control"]),
             n_exo=integer(doc["n_exo"]),
-            util=StateFunction(numbers(doc["util"], 1), doc.get("util_units", "")),
+            util=StateFunction(numbers(doc["util"], 1),
+                               field(doc, "util_units", string, "")),
             anchor=field(doc, "anchor", integer, 0),
             exo_kernel=None if exo is None else StochasticMatrix(numbers(exo, 2)),
         )
+
+
+def _design_vector(space: LoadStateSpace, h_control) -> np.ndarray:
+    h = np.asarray(h_control, dtype=float)
+    if h.shape != (space.dim,):
+        raise ValidationError(
+            f"design function has shape {h.shape}, expected ({space.dim},)")
+    return h
+
+
+def _exo_table(space: LoadStateSpace, h: np.ndarray) -> np.ndarray:
+    """H(x, c) = sum_e exo_kernel(x, e) h(c, e), the lift of ``h`` at any
+    successor with controllable part c (d x n_control)."""
+    return space.exo_kernel.entries @ h.reshape(space.n_control, space.n_exo).T
 
 
 def lift_control(space: LoadStateSpace, h_control) -> np.ndarray:
@@ -166,56 +184,91 @@ def lift_control(space: LoadStateSpace, h_control) -> np.ndarray:
     exogenous transition.  Without an exogenous coordinate this reduces to
     H(x, x') = h_control(x').
     """
-    h = np.asarray(h_control, dtype=float)
-    d = space.dim
-    if h.shape != (d,):
-        raise ValidationError(f"design function has shape {h.shape}, expected ({d},)")
+    h = _design_vector(space, h_control)
     if space.n_exo == 1:
-        return np.broadcast_to(h, (d, d))
-    cond = space.exo_kernel.entries @ h.reshape(space.n_control, space.n_exo).T
-    return np.repeat(cond, space.n_exo, axis=1)
+        return np.broadcast_to(h, (space.dim, space.dim))
+    return np.repeat(_exo_table(space, h), space.n_exo, axis=1)
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizerCache:
-    """Per-row log normalizer of a tilt, reusable for residual checks."""
+class _Support(NamedTuple):
+    """Nonzeros of a kernel, row by row.
 
-    log_normalizer: StateFunction
+    Entry (rows[k], cols[k]) of the kernel is values[k]; row x's entries
+    begin at starts[x].  Every row of a stochastic matrix has a nonzero, so
+    no row is empty.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
+    shape: tuple
 
 
-def _log_normalizer_raw(base: np.ndarray, support: np.ndarray, pair: np.ndarray):
+def _support(p: StochasticMatrix) -> _Support:
+    rows, cols = np.nonzero(p.support)
+    starts = np.searchsorted(rows, np.arange(p.shape[0]))
+    arrays = [rows, cols, p.entries[rows, cols], starts]
+    for a in arrays:
+        a.setflags(write=False)
+    return _Support(*arrays, p.shape)
+
+
+def _scatter(support: _Support, values: np.ndarray) -> np.ndarray:
+    """Dense matrix holding ``values`` on ``support`` and zeros elsewhere."""
+    out = np.zeros(support.shape)
+    out[support.rows, support.cols] = values
+    return out
+
+
+def _lift_on_support(space: LoadStateSpace, support: _Support, h) -> np.ndarray:
+    """``lift_control(space, h)`` read at the nonzeros of ``support`` only."""
+    h = _design_vector(space, h)
+    if space.n_exo == 1:
+        return h[support.cols]
+    return _exo_table(space, h)[support.rows, support.cols // space.n_exo]
+
+
+def _log_normalizer_raw(support: _Support, pair: np.ndarray):
     """Row-wise log of sum_x' base(x,x') exp(pair(x,x')) plus the shifted weights.
 
-    Returns (weights, row_sums, log_norm) where weights = base * exp(pair - m)
-    with m the per-row maximum of pair over the support.  The shift keeps the
-    exponentials in [0, 1], so overflow is impossible for finite pair values.
+    ``base`` is the kernel ``support`` was read from and ``pair`` holds the
+    pair function at its nonzeros, in the same order.  Returns (weights,
+    row_sums, log_norm) where weights = base * exp(pair - m), on the support,
+    with m the per-row maximum of pair.  The shift keeps the exponentials in
+    [0, 1], so overflow is impossible for finite pair values.
     """
-    if not np.all(np.isfinite(pair[support])):
+    if not np.isfinite(pair).all():
         raise NonFinite("tilt pair function is not finite on the support")
-    masked = np.where(support, pair, -np.inf)
-    m = masked.max(axis=1)
-    weights = base * np.exp(np.where(support, pair - m[:, None], -np.inf))
-    rows = weights.sum(axis=1)
-    if not np.all(rows > 0.0):
+    m = np.maximum.reduceat(pair, support.starts)
+    weights = support.values * np.exp(pair - m[support.rows])
+    rows = np.add.reduceat(weights, support.starts)
+    if not (rows > 0.0).all():
         raise NonFinite("tilt underflowed: a row lost all of its mass")
     return weights, rows, m + np.log(rows)
 
 
-def _tilt_raw(base: np.ndarray, support: np.ndarray, pair: np.ndarray):
-    weights, rows, log_norm = _log_normalizer_raw(base, support, pair)
-    tilted = weights / rows[:, None]
-    if np.count_nonzero(tilted) != np.count_nonzero(support):
+def _tilt_raw(support: _Support, pair: np.ndarray):
+    """Tilted kernel at the nonzeros of the base, and its log normalizer.
+
+    O(nnz): the tilt never leaves the support of the base, so the d x d
+    kernel is built only where a caller needs it, by :func:`_scatter`.
+    """
+    weights, rows, log_norm = _log_normalizer_raw(support, pair)
+    tilted = weights / rows[support.rows]
+    if not tilted.all():  # entries are >= 0, so no zero means all positive
         raise NonFinite("tilt underflowed: support of the tilted kernel shrank")
+    _check_row_sums(np.add.reduceat(tilted, support.starts))
     return tilted, log_norm
 
 
-def _tilt_at_h(base: StochasticMatrix, space: LoadStateSpace, h) -> np.ndarray:
-    """Entries of ``base`` tilted by the lift of the design function ``h``."""
-    tilted, _ = _tilt_raw(base.entries, base.support, lift_control(space, h))
+def _tilt_at_h(support: _Support, space: LoadStateSpace, h) -> np.ndarray:
+    """Nonzeros of the base tilted by the lift of the design function ``h``."""
+    tilted, _ = _tilt_raw(support, _lift_on_support(space, support, h))
     return tilted
 
 
-def tilt(base: StochasticMatrix, pair) -> tuple[StochasticMatrix, NormalizerCache]:
+def tilt(base: StochasticMatrix, pair) -> tuple[StochasticMatrix, StateFunction]:
     """Exponentially tilt ``base`` by the pair function ``pair``.
 
     Entries off the support of ``base`` stay zero; entries on it are scaled
@@ -226,8 +279,9 @@ def tilt(base: StochasticMatrix, pair) -> tuple[StochasticMatrix, NormalizerCach
     pair = np.asarray(pair, dtype=float)
     if pair.shape != base.shape:
         raise ValidationError(f"pair function shape {pair.shape} != {base.shape}")
-    tilted, log_norm = _tilt_raw(base.entries, base.support, pair)
-    return StochasticMatrix(tilted), NormalizerCache(StateFunction(log_norm))
+    support = _support(base)
+    tilted, log_norm = _tilt_raw(support, pair[support.rows, support.cols])
+    return StochasticMatrix(_scatter(support, tilted)), StateFunction(log_norm)
 
 
 def ipd_map(p: StochasticMatrix, util, anchor: int = 0) -> StateFunction:
@@ -338,12 +392,13 @@ class DesignFamily:
     """One-parameter family of tilted kernels on a uniform command grid.
 
     Stores the design function h per grid point and regenerates kernels on
-    demand by tilting the stored base.  Construction checks the grid and,
-    once, the connectivity of the untilted per-step kernel; the tilt and
-    invariant pmf at a command are computed and checked only when that
-    command is used.  ``ubars`` gives the mean output over the whole grid.
-    Command values between grid points use linear interpolation of h;
-    values beyond the grid ends raise :class:`OutOfGrid`.
+    demand by tilting the stored base on its nonzeros, ``support``.
+    Construction checks the grid and, once, the connectivity of the
+    untilted per-step kernel; the tilt and invariant pmf at a command are
+    computed and checked only when that command is used.  ``ubars`` gives
+    the mean output over the whole grid.  Command values between grid
+    points use linear interpolation of h; values beyond the grid ends raise
+    :class:`OutOfGrid`.
     """
 
     def __init__(self, space: LoadStateSpace, base: StochasticMatrix, kind: str,
@@ -393,6 +448,9 @@ class DesignFamily:
             self.generator.setflags(write=False)
         self.model_hash = model_hash
         self.synthesis = dict(synthesis or {})
+        #: nonzeros of the base, which every command's jump kernel shares
+        self.support = _support(base)
+        self._last_jump = None  # (command, jump kernel) of the last jump_kernel_at
         util_values = as_values(space.util)
         self.trivial = bool(util_values.max() - util_values.min() < 1e-12)
 
@@ -439,9 +497,22 @@ class DesignFamily:
         """Lifted pair function driving the tilt at this command value."""
         return lift_control(self.space, self.h_at(zeta))
 
+    def jump_values_at(self, zeta: float) -> np.ndarray:
+        """Jump kernel at a command on ``support``: one value per nonzero."""
+        return _tilt_at_h(self.support, self.space, self.h_at(zeta))
+
     def jump_kernel_at(self, zeta: float) -> StochasticMatrix:
-        """Tilted kernel before any lazy composition."""
-        return StochasticMatrix(_tilt_at_h(self.base, self.space, self.h_at(zeta)))
+        """Tilted kernel before any lazy composition.
+
+        The kernel of the last command asked for is kept, so the per-step
+        kernel, invariant pmf and design rate of one command share one tilt.
+        """
+        last = self._last_jump
+        if last is not None and last[0] == zeta:
+            return last[1]
+        jump = StochasticMatrix(_scatter(self.support, self.jump_values_at(zeta)))
+        self._last_jump = (zeta, jump)
+        return jump
 
     def kernel_at(self, zeta: float) -> StochasticMatrix:
         """Per-step kernel actually run by each load."""
@@ -574,9 +645,11 @@ def solve_design_ode(base: StochasticMatrix, space: LoadStateSpace, kind: str,
         )
 
     util = as_values(space.util, space.dim)
+    support = _support(base)
 
     def rate(h):
-        return _design_rate(kind, _tilt_at_h(base, space, h), util, space.anchor)
+        return _design_rate(kind, _scatter(support, _tilt_at_h(support, space, h)),
+                            util, space.anchor)
 
     if kind == "spd":
         # Fail fast (and unwrapped) when the doubled kernel is structurally
@@ -688,8 +761,8 @@ def optimality_residual(h, eta: float, zeta: float, base: StochasticMatrix,
     Returns the maximum absolute defect over states.
     """
     h = as_values(h, space.dim)
-    pair = lift_control(space, h)
-    _, _, log_norm = _log_normalizer_raw(base.entries, base.support, pair)
+    support = _support(base)
+    _, _, log_norm = _log_normalizer_raw(support, _lift_on_support(space, support, h))
     defect = zeta * as_values(space.util) + log_norm - h - eta
     return float(np.abs(defect).max())
 

@@ -123,6 +123,13 @@ def numbers(value, ndim: int) -> np.ndarray:
     raise ValueError(f"expected an array nested {ndim} deep of finite numbers")
 
 
+def string(value) -> str:
+    """``value`` itself, checked to be a JSON string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
 def boolean(value) -> bool:
     """``value`` itself, checked to be a JSON boolean."""
     if not isinstance(value, bool):

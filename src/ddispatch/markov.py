@@ -36,6 +36,12 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return out
 
 
+def _check_row_sums(sums: np.ndarray):
+    row_err = np.abs(sums - 1.0).max()
+    if row_err > ROW_SUM_TOL:
+        raise ValidationError(f"row sums deviate from 1 by {row_err:.3e}")
+
+
 @dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """Row-stochastic matrix.
@@ -56,9 +62,7 @@ class StochasticMatrix:
             raise ValidationError("matrix entries must be finite")
         if entries.min(initial=0.0) < 0.0:
             raise ValidationError(f"negative entry {entries.min():.3e} in stochastic matrix")
-        row_err = np.abs(entries.sum(axis=1) - 1.0).max()
-        if row_err > ROW_SUM_TOL:
-            raise ValidationError(f"row sums deviate from 1 by {row_err:.3e}")
+        _check_row_sums(entries.sum(axis=1))
         object.__setattr__(self, "entries", _frozen(entries))
         object.__setattr__(self, "_support", _frozen(entries > 0.0, dtype=bool))
 

@@ -2,8 +2,11 @@
 tracking, and causal frequency decomposition of reference signals.
 
 The distribution recursion propagates a pmf through the per-step kernel at
-the broadcast command; a fleet advances N independent agents through the
-same kernel rows.  The tracking harness wraps either plant in a simple
+the broadcast command without forming it: the pmf is pushed through the
+nonzeros of the tilted jump kernel, O(nnz) a step, and mixed with itself at
+the sampling rate.  A fleet advances N independent agents through the rows
+of the dense per-step kernel, each agent searching only its row's nonzero
+columns.  The tracking harness wraps either plant in a simple
 saturated controller whose default gains come from the DC gain of the
 command-to-power linearization.
 """
@@ -137,11 +140,19 @@ class SignalSet:
 def meanfield_step(mu: Pmf, zeta: float, family) -> tuple[Pmf, float]:
     """One step of the distribution recursion at a fixed command.
 
-    Returns the propagated pmf and the average power it assigns.  The unit
-    sum is restored each step so roundoff cannot accumulate over long runs.
+    mu P for the per-step kernel P = (1 - rate) I + rate S, with S the jump
+    kernel: mu is pushed through the nonzeros of S that
+    ``family.jump_values_at`` gives, in O(nnz) and with no d x d kernel
+    built, then mixed with itself at the sampling rate.  Returns the
+    propagated pmf and the average power it assigns.  The unit sum is
+    restored each step so roundoff cannot accumulate over long runs.
     """
-    p = family.kernel_at(zeta)
-    w = mu.weights @ p.entries
+    support = family.support
+    w = mu.weights
+    flow = w[support.rows] * family.jump_values_at(zeta)
+    jumped = np.bincount(support.cols, weights=flow, minlength=w.size)
+    rate = family.structure.sampling_rate
+    w = (1.0 - rate) * w + rate * jumped
     w = w / w.sum()
     out = Pmf(w)
     util = as_values(family.space.util, family.space.dim)
@@ -207,36 +218,49 @@ def fleet_step(state: FleetState, zeta: float, family, rng) -> tuple[FleetState,
     for a given stream and N = 1 reduces to a textbook chain sampler.
     Returns the new fleet and its average power.
     """
-    cum = np.cumsum(family.kernel_at(zeta).entries, axis=1)
+    p = family.kernel_at(zeta)
+    cum = np.cumsum(p.entries, axis=1)
     u = rng.random(state.n)
-    nxt = _inverse_transform(cum, state.states, u)
+    nxt = _inverse_transform(cum, p.support, state.states, u)
     out = FleetState(nxt)
     util = as_values(family.space.util, family.space.dim)
     return out, float(util[nxt].mean())
 
 
-def _inverse_transform(cum: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _inverse_transform(cum: np.ndarray, support: np.ndarray, rows: np.ndarray,
+                       u: np.ndarray) -> np.ndarray:
     """Per agent, the count of entries of its row of ``cum`` below its ``u``,
     capped at d - 1 so dust in the row sum cannot leave the state space.
 
-    Rows of ``cum`` are cumulative sums of nonnegative entries, hence
-    nondecreasing, so the count is found by a branch-free binary search:
-    one gather of N entries per bit of d instead of an N x d compare.  The
-    last column is replaced by +inf, which is the cap, and the table is
-    padded with +inf to a power-of-two width.
+    Rows of ``cum`` are cumulative sums of nonnegative entries, so they are
+    nondecreasing and rise only at the columns in ``support``.  For u > 0
+    the count is therefore the first such column whose sum reaches u, or
+    d - 1 when no column before the last one does.  Each row keeps only
+    those columns, padded with +inf to a power-of-two width above the
+    longest row, and a branch-free binary search counts the entries below
+    u: ceil(log2(k + 1)) gathers of N entries for k the most columns a row
+    keeps, plus one to read the column, instead of ceil(log2 d) gathers.
+    A draw u = 0.0 is below no entry, so it lands in column 0 even where
+    that column holds no mass.
     """
     d = cum.shape[1]
-    width = 1 << (d - 1).bit_length()
+    r, c = np.nonzero(support[:, :d - 1])
+    counts = np.bincount(r, minlength=d)
+    width = 1 << int(counts.max()).bit_length()
+    slot = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
     table = np.full((d, width), np.inf)
-    table[:, :d - 1] = cum[:, :d - 1]
+    table[r, slot] = cum[r, c]
+    columns = np.full((d, width), d - 1)
+    columns[r, slot] = c
     flat = table.ravel()
-    start = rows * width
-    pos = start.copy()
+    pos = rows * width
     step = width >> 1
     while step:
         pos += step * (flat[pos + (step - 1)] < u)
         step >>= 1
-    return pos - start
+    nxt = columns.ravel()[pos]
+    nxt[u == 0.0] = 0
+    return nxt
 
 
 def fleet_rollout(family, zetas, n: int, seed: int, mu0: Pmf | None = None):

@@ -130,6 +130,14 @@ class TestModel:
                     "--out", tmp_path / "x.json"]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("units", [[1, 2], 7, None], ids=["list", "number", "null"])
+    def test_malformed_custom_units(self, workdir, tmp_path, capsys, units):
+        spec = tmp_path / "spec.json"
+        write_json(spec, dict(read_json(workdir["spec"]), units=units))
+        assert run(["model", "--kind", "custom", "--spec", spec,
+                    "--out", tmp_path / "x.json"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_custom_needs_spec(self, tmp_path):
         assert run(["model", "--kind", "custom",
                     "--out", tmp_path / "x.json"]) == 3
@@ -199,6 +207,16 @@ class TestDesign:
         assert run(["design", "--model", tmp_path / "m.json", "--kind", "ipd",
                     "--zeta-max", "0.5", "--out", tmp_path / "f.json"]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_malformed_model_units(self, workdir, tmp_path, capsys):
+        doc = read_json(workdir["model"])
+        doc["space"]["util_units"] = [3]
+        write_json(tmp_path / "m.json", doc)
+        assert run(["design", "--model", tmp_path / "m.json", "--kind", "ipd",
+                    "--zeta-max", "0.5", "--util-scale", "2",
+                    "--out", tmp_path / "f.json"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
 
     def test_spd_on_cycle_rejected(self, tmp_path, capsys):
         spec = tmp_path / "cycle.json"
@@ -335,10 +353,11 @@ class TestAnalyze:
         ("zeta_grid", 0, "-0.8"),
         ("zeta_grid", -1, float("nan")),
         ("space", "util", [0.5, 1.0, 1.5, "2.0"]),
+        ("space", "util_units", [3]),
     ], ids=["anchor_fractional", "anchor_true", "n_control_fractional",
             "has_exogenous_text", "has_exogenous_number", "gamma_true",
             "h_grid_true", "zeta_grid_entry_text", "zeta_grid_last_nan",
-            "util_entry_text"])
+            "util_entry_text", "util_units_list"])
     def test_malformed_nested_family_field(self, workdir, tmp_path, capsys,
                                            section, key, value):
         doc = read_json(workdir["family"])

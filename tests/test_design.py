@@ -39,7 +39,7 @@ from ddispatch.markov import (
     relative_entropy_rate,
 )
 
-from conftest import cycle_chain, random_chain, two_state
+from conftest import cycle_chain, random_chain, sparse_random_chain, two_state
 
 
 def simple_space(util, anchor=0):
@@ -122,31 +122,31 @@ class TestTilt:
     def test_two_state_closed_form(self):
         base = StochasticMatrix(np.full((2, 2), 0.5))
         pair = np.tile([0.0, 1.0], (2, 1))
-        tilted, cache = tilt(base, pair)
+        tilted, log_norm = tilt(base, pair)
         e = math.e
         for x in range(2):
             assert tilted.entries[x, 0] == pytest.approx(1.0 / (1.0 + e), abs=1e-15)
             assert tilted.entries[x, 1] == pytest.approx(e / (1.0 + e), abs=1e-15)
-            assert cache.log_normalizer.values[x] == pytest.approx(
+            assert log_norm.values[x] == pytest.approx(
                 math.log(0.5 * (1.0 + e)), abs=1e-14)
 
     def test_zero_pair_is_identity(self, rng):
         for _ in range(10):
             base = random_chain(rng, 6)
-            tilted, cache = tilt(base, np.zeros((6, 6)))
+            tilted, log_norm = tilt(base, np.zeros((6, 6)))
             assert np.abs(tilted.entries - base.entries).max() <= 1e-15
-            assert np.abs(cache.log_normalizer.values).max() <= 1e-14
+            assert np.abs(log_norm.values).max() <= 1e-14
 
     def test_constant_shift_invariance(self, rng):
         base = random_chain(rng, 5)
         pair = rng.normal(size=(5, 5))
         a, _ = tilt(base, pair)
-        b, cache = tilt(base, pair + 7.25)
+        b, log_norm = tilt(base, pair + 7.25)
         assert np.abs(a.entries - b.entries).max() <= 1e-12
         # the normalizer absorbs the shift exactly
-        _, cache0 = tilt(base, pair)
-        np.testing.assert_allclose(cache.log_normalizer.values,
-                                   cache0.log_normalizer.values + 7.25,
+        _, log_norm0 = tilt(base, pair)
+        np.testing.assert_allclose(log_norm.values,
+                                   log_norm0.values + 7.25,
                                    rtol=0.0, atol=1e-12)
 
     def test_support_preserved(self, rng):
@@ -158,8 +158,8 @@ class TestTilt:
     def test_definition_matches(self, rng):
         base = random_chain(rng, 4)
         pair = rng.normal(size=(4, 4)) * 2.0
-        tilted, cache = tilt(base, pair)
-        lam = cache.log_normalizer.values
+        tilted, log_norm = tilt(base, pair)
+        lam = log_norm.values
         want = base.entries * np.exp(pair - lam[:, None])
         np.testing.assert_allclose(tilted.entries, want, rtol=0.0, atol=1e-13)
 
@@ -179,16 +179,93 @@ class TestTilt:
         # the maximizer is the tilted row itself, any other pmf does worse.
         base = random_chain(rng, 4)
         pair = rng.normal(size=(4, 4))
-        tilted, cache = tilt(base, pair)
+        tilted, log_norm = tilt(base, pair)
         for x in range(4):
             row0 = base.entries[x]
             star = tilted.entries[x]
             value = star @ pair[x] - star @ np.log(star / row0)
-            assert value == pytest.approx(cache.log_normalizer.values[x], abs=1e-10)
+            assert value == pytest.approx(log_norm.values[x], abs=1e-10)
             for _ in range(20):
                 nu = rng.dirichlet(np.ones(4))
                 trial = nu @ pair[x] - nu @ np.log(nu / row0)
-                assert trial <= cache.log_normalizer.values[x] + 1e-12
+                assert trial <= log_norm.values[x] + 1e-12
+
+
+def dense_tilt(base, pair):
+    """Oracle: base * exp(pair - Lambda) and Lambda, on the full d x d table."""
+    lam = np.log((base * np.exp(pair)).sum(axis=1))
+    return base * np.exp(pair - lam[:, None]), lam
+
+
+def sparse_product_space(rng, n_control=4, n_exo=3):
+    """Product space whose controllable kernel has zeros (n_exo > 1)."""
+    space, _, r0, q0 = product_space(rng, n_control, n_exo)
+    r0 = r0 * (rng.random(r0.shape) < 0.6)
+    r0[np.arange(n_control), (np.arange(n_control) + 1) % n_control] += 0.3
+    r0 /= r0.sum(axis=1, keepdims=True)
+    base = np.einsum("xc,xe->xce", r0[np.arange(space.dim) // n_exo], q0)
+    return space, StochasticMatrix(base.reshape(space.dim, space.dim))
+
+
+class TestSupportTilt:
+    """The tilt works on the base's nonzeros only; the oracle is the dense
+    formula base * exp(pair - Lambda) over the whole table."""
+
+    def test_random_sparse_chains(self, rng):
+        for d in (1, 2, 5, 12, 40):
+            for _ in range(5):
+                base = sparse_random_chain(rng, d)
+                pair = 3.0 * rng.normal(size=(d, d))
+                tilted, log_norm = tilt(base, pair)
+                want, lam = dense_tilt(base.entries, pair)
+                np.testing.assert_allclose(tilted.entries, want, rtol=0.0, atol=1e-13)
+                np.testing.assert_allclose(log_norm.values, lam, rtol=0.0, atol=1e-13)
+                np.testing.assert_array_equal(tilted.support, base.support)
+
+    def test_pair_off_the_support_is_ignored(self, rng):
+        base = cycle_chain(5)
+        pair = rng.normal(size=(5, 5))
+        pair[~base.support] = np.nan
+        tilted, _ = tilt(base, pair)
+        want, _ = dense_tilt(base.entries, np.where(base.support, pair, 0.0))
+        np.testing.assert_allclose(tilted.entries, want, rtol=0.0, atol=1e-13)
+
+    def test_product_space_family(self, rng):
+        space, base = sparse_product_space(rng)
+        assert not base.support.all()
+        gen = rng.normal(size=space.dim)
+        fam = build_exponential_family(base, space, "custom", 1.0, step=0.25,
+                                       generator=gen)
+        for zeta in (-1.0, -0.3, 0.0, 0.6, 1.0):
+            want, _ = dense_tilt(base.entries, lift_control(space, zeta * gen))
+            got = fam.jump_kernel_at(zeta).entries
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+            np.testing.assert_array_equal(fam.jump_values_at(zeta),
+                                          got[fam.support.rows, fam.support.cols])
+
+    def test_pool_jump_kernel(self, rng):
+        model = build_pool_model(PoolModelSpec())
+        base, _ = synthesis_inputs(model, "compose")
+        space = model.space
+        assert base.support.sum() == 190
+        for scale in (0.1, 1.0, 5.0):
+            h = scale * rng.normal(size=space.dim)
+            want, lam = dense_tilt(base.entries, lift_control(space, h))
+            tilted, log_norm = tilt(base, lift_control(space, h))
+            np.testing.assert_allclose(tilted.entries, want, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(log_norm.values, lam, rtol=0.0, atol=1e-13)
+
+    def test_underflow_is_caught_on_every_path(self):
+        base = StochasticMatrix(np.full((2, 2), 0.5))
+        with pytest.raises(NonFinite, match="support of the tilted kernel shrank"):
+            tilt(base, np.array([[0.0, 800.0], [0.0, 0.0]]))
+        space = simple_space([0.0, 1.0])
+        fam = build_exponential_family(base, space, "custom", 1.0, step=1.0,
+                                       generator=[0.0, 800.0])
+        for use in (fam.jump_values_at, fam.jump_kernel_at, fam.kernel_at, fam.pi_at):
+            with pytest.raises(NonFinite):
+                use(1.0)
+        fam.jump_kernel_at(0.0)
 
 
 class TestDesignMaps:

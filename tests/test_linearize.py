@@ -33,6 +33,7 @@ from conftest import random_chain, two_state
 
 # the package re-exports the function ``linearize`` under the module's name
 linearize_module = importlib.import_module("ddispatch.linearize")
+design_module = importlib.import_module("ddispatch.design")
 
 
 def simple_space(util, anchor=0):
@@ -179,6 +180,28 @@ class TestAdjointForm:
                             lambda self, zeta: calls.append(zeta) or h_rate_at(self, zeta))
         linearize(fam, 0.05)
         assert calls == [0.05]
+
+    @pytest.mark.parametrize("kind", ["ipd", "myopic"])
+    def test_linearize_tilts_once_per_command(self, monkeypatch, kind):
+        # the per-step kernel, the pmf solve and the design rate share the
+        # command's one jump kernel
+        model = build_pool_model(PoolModelSpec(rungs=8, slot_minutes=30.0))
+        base, structure = synthesis_inputs(model, "compose")
+        if kind == "ipd":
+            fam = solve_design_ode(base, model.space, kind, 0.1, step=0.05,
+                                   structure=structure)
+        else:
+            fam = build_exponential_family(base, model.space, kind, 0.1, step=0.05,
+                                           structure=structure)
+        calls = []
+        tilt_raw = design_module._tilt_raw
+        monkeypatch.setattr(design_module, "_tilt_raw",
+                            lambda *args: calls.append(1) or tilt_raw(*args))
+        counts = []
+        for zeta in (0.05, -0.1, 0.0):
+            linearize(fam, zeta)
+            counts.append(len(calls))
+        assert counts == [1, 2, 3]
 
     def test_rejects_predecessor_dependent_rate(self, rng):
         # exogenous noise kernels vary with the current state, so the lifted

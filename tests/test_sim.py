@@ -4,9 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ddispatch import BadCutoffs, OutOfGrid, ValidationError
-from ddispatch import design
-from ddispatch.design import LoadStateSpace, build_exponential_family, solve_design_ode
+from ddispatch import BadCutoffs, NonFinite, OutOfGrid, ValidationError
+from ddispatch import design, markov
+from ddispatch.design import (DesignFamily, LoadStateSpace, build_exponential_family,
+                              geometric_compose, solve_design_ode)
 from ddispatch.linearize import dc_gain, linearize, transfer_eval
 from ddispatch.markov import Pmf, StateFunction, StochasticMatrix, invariant_pmf
 from ddispatch.sim import (
@@ -66,6 +67,75 @@ class TestMeanfieldStep:
     def test_out_of_grid(self, fam):
         with pytest.raises(OutOfGrid):
             meanfield_step(fam.pi_at(0.0), 2.0, fam)
+
+    @staticmethod
+    def _families(fam):
+        """Direct, composed and exogenous-coordinate families."""
+        rng = np.random.default_rng(4)
+        q0 = rng.dirichlet(np.ones(2), size=6)
+        r0 = rng.dirichlet(np.ones(3), size=3) * (rng.random((3, 3)) < 0.7)
+        r0[np.arange(3), (np.arange(3) + 1) % 3] += 0.2
+        r0 /= r0.sum(axis=1, keepdims=True)
+        base = np.einsum("xc,xe->xce", r0[np.arange(6) // 2], q0).reshape(6, 6)
+        space = LoadStateSpace(n_control=3, n_exo=2,
+                               util=StateFunction(rng.normal(size=6)),
+                               exo_kernel=StochasticMatrix(q0))
+        exo = build_exponential_family(StochasticMatrix(base), space, "myopic", 1.0,
+                                       step=0.1)
+        return [fam, geometric_compose(fam, 0.3), exo, geometric_compose(exo, 0.6)]
+
+    def test_matches_dense_kernel_product(self, fam):
+        rng = np.random.default_rng(8)
+        for family in self._families(fam):
+            d = family.space.dim
+            util = family.space.util.values
+            for zeta in (-0.7, -0.13, 0.0, 0.45, 1.0):
+                mu = Pmf(rng.dirichlet(np.ones(d)))
+                want = mu.weights @ family.kernel_at(zeta).entries
+                want = want / want.sum()
+                out, y = meanfield_step(mu, zeta, family)
+                assert np.abs(out.weights - want).max() <= 1e-15
+                assert y == pytest.approx(want @ util, rel=1e-14, abs=1e-15)
+
+    def test_underflowing_tilt_rejected(self, fam):
+        h_grid = fam.h_grid.copy()
+        h_grid[-1, 1] = 800.0  # the tilt loses entries at the last command
+        bad = DesignFamily(fam.space, fam.base, fam.kind, fam.structure,
+                           fam.zeta_grid, h_grid)
+        meanfield_step(fam.pi_at(0.0), fam.zeta_grid[-2], bad)
+        with pytest.raises(NonFinite, match="shrank"):
+            meanfield_step(fam.pi_at(0.0), fam.zeta_grid[-1], bad)
+
+    @pytest.mark.parametrize("name", ["ROW_SUM_TOL", "PMF_TOL"])
+    def test_row_sum_and_pmf_checks_run(self, fam, monkeypatch, name):
+        mu = fam.pi_at(0.0)
+        monkeypatch.setattr(markov, name, -1.0)  # no sum can pass
+        with pytest.raises(ValidationError):
+            meanfield_step(mu, 0.3, fam)
+
+    def test_rollout_builds_no_kernel(self, fam, monkeypatch):
+        # steps run on the base's nonzeros: no d x d kernel, none validated
+        counts = {"kernel_at": 0, "matrices": 0}
+        kernel_at = DesignFamily.kernel_at
+        post_init = StochasticMatrix.__post_init__
+
+        def counted_kernel_at(self, zeta):
+            counts["kernel_at"] += 1
+            return kernel_at(self, zeta)
+
+        def counted_post_init(self):
+            counts["matrices"] += 1
+            post_init(self)
+
+        mu0 = fam.pi_at(0.0)
+        zetas = 0.8 * np.sin(0.05 * np.arange(200))
+        monkeypatch.setattr(DesignFamily, "kernel_at", counted_kernel_at)
+        monkeypatch.setattr(StochasticMatrix, "__post_init__", counted_post_init)
+        y, _ = meanfield_rollout(fam, zetas, mu0=mu0)
+        assert counts == {"kernel_at": 0, "matrices": 0}
+        assert np.all(np.isfinite(y))
+        fam.kernel_at(0.5)  # the counters do count
+        assert counts["kernel_at"] == 1 and counts["matrices"] >= 1
 
     def test_impulse_matches_linearization_to_second_order(self, fam):
         # nonlinear impulse response minus linear prediction scales like
@@ -169,6 +239,45 @@ class TestFleet:
             expect = self._compare_nxd(p, s, v)
             assert np.array_equal(got, expect)
             assert y == float(util[expect].mean())
+
+    def test_draw_zero_lands_in_column_zero(self):
+        # the dense search counts no entry below u = 0.0, even where
+        # column 0 carries no mass
+        rng = np.random.default_rng(1)
+        d = 9
+        p = rng.dirichlet(np.ones(d), size=d)
+        p[rng.random((d, d)) < 0.5] = 0.0
+        p[:, 0] = 0.0
+        p[:, 3] += 0.1
+        p /= p.sum(axis=1, keepdims=True)
+        states = np.arange(d).repeat(3)
+        u = np.zeros(states.size)
+        u[1::3] = rng.random(d)
+        got, _ = self._step_with_draws(p, states, u)
+        assert np.array_equal(got, self._compare_nxd(p, states, u))
+        assert np.all(got[u == 0.0] == 0)
+
+    def test_dust_above_row_total(self):
+        # rows summing to just under one: a draw above the total is capped
+        # at d - 1 even when the last column carries no mass
+        rng = np.random.default_rng(2)
+        d = 11
+        p = rng.dirichlet(np.ones(d), size=d)
+        p[rng.random((d, d)) < 0.5] = 0.0
+        p[:, 5] += 0.1
+        p[:, -1] = 0.0
+        p[2, -1] = 0.2
+        p /= p.sum(axis=1, keepdims=True)
+        p *= 1.0 - 2e-13
+        cum = np.cumsum(p, axis=1)
+        states = rng.integers(0, d, 500)
+        u = np.nextafter(cum[states, -1], 1.0)
+        u[::2] = rng.random(250)
+        assert np.all(u[1::2] > cum[states[1::2], -1])
+        got, _ = self._step_with_draws(p, states, u)
+        expect = self._compare_nxd(p, states, u)
+        assert np.array_equal(got, expect)
+        assert np.all(got[1::2] == d - 1)
 
     def test_time_average_approaches_mean_power(self, fam):
         z = 0.4
