@@ -7,11 +7,12 @@ scalar command ``zeta`` moves every load to a tilted kernel
 
 where ``h`` is a pair function chosen by a design rule and ``Lambda_h`` is
 the per-row log normalizer.  A tilt never leaves the support of P0, so it
-is computed on P0's nonzeros only, in O(nnz); a d x d kernel is built only
-where a caller needs one.  This module provides the tilt itself, the two
-design rules (individual-perspective and system-perspective), the
-continuation ODE that integrates either rule over a range of commands, and
-a serializable container for the resulting one-parameter kernel family.
+is computed on P0's nonzeros only (``P0.nonzeros``, built once per kernel),
+in O(nnz); a d x d kernel is built only where a caller needs one.  This
+module provides the tilt itself, the two design rules (individual-perspective
+and system-perspective), the continuation ODE that integrates either rule
+over a range of commands, and a serializable container for the resulting
+one-parameter kernel family.
 
 States may factor into a controllable coordinate and an exogenous one
 (local temperature, for instance).  Design functions are then defined on
@@ -26,7 +27,6 @@ import hashlib
 import json
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .errors import (
 from .fileio import (FORMAT_VERSION, boolean, document, field, finite, integer,
                      json_object, malformed, numbers, read_json, string, write_json)
 from .markov import (
+    Nonzeros,
     Pmf,
     StateFunction,
     StochasticMatrix,
@@ -51,6 +52,7 @@ from .markov import (
     _invariant_raw,
     _poisson_raw,
     _reversal_raw,
+    adjoint_product,
     as_values,
     check_irreducible_aperiodic,
     geometric_mix,
@@ -190,38 +192,15 @@ def lift_control(space: LoadStateSpace, h_control) -> np.ndarray:
     return np.repeat(_exo_table(space, h), space.n_exo, axis=1)
 
 
-class _Support(NamedTuple):
-    """Nonzeros of a kernel, row by row.
-
-    Entry (rows[k], cols[k]) of the kernel is values[k]; row x's entries
-    begin at starts[x].  Every row of a stochastic matrix has a nonzero, so
-    no row is empty.
-    """
-
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
-    starts: np.ndarray
-    shape: tuple
-
-
-def _support(p: StochasticMatrix) -> _Support:
-    rows, cols = np.nonzero(p.support)
-    starts = np.searchsorted(rows, np.arange(p.shape[0]))
-    arrays = [rows, cols, p.entries[rows, cols], starts]
-    for a in arrays:
-        a.setflags(write=False)
-    return _Support(*arrays, p.shape)
-
-
-def _scatter(support: _Support, values: np.ndarray) -> np.ndarray:
-    """Dense matrix holding ``values`` on ``support`` and zeros elsewhere."""
-    out = np.zeros(support.shape)
+def _scatter(base: StochasticMatrix, values: np.ndarray) -> np.ndarray:
+    """Dense matrix holding ``values`` at the nonzeros of ``base``, zeros elsewhere."""
+    support = base.nonzeros
+    out = np.zeros(base.shape)
     out[support.rows, support.cols] = values
     return out
 
 
-def _lift_on_support(space: LoadStateSpace, support: _Support, h) -> np.ndarray:
+def _lift_on_support(space: LoadStateSpace, support: Nonzeros, h) -> np.ndarray:
     """``lift_control(space, h)`` read at the nonzeros of ``support`` only."""
     h = _design_vector(space, h)
     if space.n_exo == 1:
@@ -229,7 +208,7 @@ def _lift_on_support(space: LoadStateSpace, support: _Support, h) -> np.ndarray:
     return _exo_table(space, h)[support.rows, support.cols // space.n_exo]
 
 
-def _log_normalizer_raw(support: _Support, pair: np.ndarray):
+def _log_normalizer_raw(support: Nonzeros, pair: np.ndarray):
     """Row-wise log of sum_x' base(x,x') exp(pair(x,x')) plus the shifted weights.
 
     ``base`` is the kernel ``support`` was read from and ``pair`` holds the
@@ -248,7 +227,7 @@ def _log_normalizer_raw(support: _Support, pair: np.ndarray):
     return weights, rows, m + np.log(rows)
 
 
-def _tilt_raw(support: _Support, pair: np.ndarray):
+def _tilt_raw(support: Nonzeros, pair: np.ndarray):
     """Tilted kernel at the nonzeros of the base, and its log normalizer.
 
     O(nnz): the tilt never leaves the support of the base, so the d x d
@@ -262,7 +241,7 @@ def _tilt_raw(support: _Support, pair: np.ndarray):
     return tilted, log_norm
 
 
-def _tilt_at_h(support: _Support, space: LoadStateSpace, h) -> np.ndarray:
+def _tilt_at_h(support: Nonzeros, space: LoadStateSpace, h) -> np.ndarray:
     """Nonzeros of the base tilted by the lift of the design function ``h``."""
     tilted, _ = _tilt_raw(support, _lift_on_support(space, support, h))
     return tilted
@@ -279,9 +258,9 @@ def tilt(base: StochasticMatrix, pair) -> tuple[StochasticMatrix, StateFunction]
     pair = np.asarray(pair, dtype=float)
     if pair.shape != base.shape:
         raise ValidationError(f"pair function shape {pair.shape} != {base.shape}")
-    support = _support(base)
+    support = base.nonzeros
     tilted, log_norm = _tilt_raw(support, pair[support.rows, support.cols])
-    return StochasticMatrix(_scatter(support, tilted)), StateFunction(log_norm)
+    return StochasticMatrix(_scatter(base, tilted)), StateFunction(log_norm)
 
 
 def ipd_map(p: StochasticMatrix, util, anchor: int = 0) -> StateFunction:
@@ -295,8 +274,7 @@ def ipd_map(p: StochasticMatrix, util, anchor: int = 0) -> StateFunction:
     return poisson_solve(p, util, anchor=anchor)
 
 
-def spd_map(p: StochasticMatrix, util, anchor: int = 0,
-            pi: Pmf | None = None) -> StateFunction:
+def spd_map(p: StochasticMatrix, util, anchor: int = 0) -> StateFunction:
     """System-perspective design direction at kernel ``p``.
 
     Solves the same centered equation as :func:`ipd_map` but with the
@@ -308,17 +286,14 @@ def spd_map(p: StochasticMatrix, util, anchor: int = 0,
     has no usable solution.
     """
     f = as_values(util, p.dim)
-    if pi is None:
-        pi = invariant_pmf(p)
-    w = pi.weights
-    doubled = _reversal_raw(p.entries, w) @ p.entries
-    report = check_irreducible_aperiodic(StochasticMatrix(doubled))
-    if not report.irreducible:
+    pi = invariant_pmf(p)
+    doubled = adjoint_product(p, pi)
+    if not check_irreducible_aperiodic(doubled).irreducible:
         raise AdjointProductReducible(
             "time-reversal product kernel is reducible; "
             "system-perspective design is undefined for this model"
         )
-    h = _poisson_raw(doubled, w, f, anchor)
+    h = _poisson_raw(doubled.entries, pi.weights, f, anchor)
     units = util.units if isinstance(util, StateFunction) else ""
     return StateFunction(h, units)
 
@@ -448,17 +423,19 @@ class DesignFamily:
             self.generator.setflags(write=False)
         self.model_hash = model_hash
         self.synthesis = dict(synthesis or {})
-        #: nonzeros of the base, which every command's jump kernel shares
-        self.support = _support(base)
         self._last_jump = None  # (command, jump kernel) of the last jump_kernel_at
         util_values = as_values(space.util)
         self.trivial = bool(util_values.max() - util_values.min() < 1e-12)
 
-        # Tilting keeps the support, so the untilted per-step kernel has the
-        # connectivity of every command's per-step kernel.
-        report = check_irreducible_aperiodic(geometric_mix(base, structure.sampling_rate))
-        if not report.irreducible:
+        # Tilting keeps the support and the lazy mix adds only self-loops, so
+        # the base has the connectivity of every command's per-step kernel.
+        if not check_irreducible_aperiodic(base).irreducible:
             raise NotIrreducible("per-step kernel is not irreducible")
+
+    @property
+    def support(self) -> Nonzeros:
+        """Nonzeros of the base, which every command's jump kernel shares."""
+        return self.base.nonzeros
 
     @functools.cached_property
     def ubars(self) -> np.ndarray:
@@ -510,7 +487,7 @@ class DesignFamily:
         last = self._last_jump
         if last is not None and last[0] == zeta:
             return last[1]
-        jump = StochasticMatrix(_scatter(self.support, self.jump_values_at(zeta)))
+        jump = StochasticMatrix(_scatter(self.base, self.jump_values_at(zeta)))
         self._last_jump = (zeta, jump)
         return jump
 
@@ -645,10 +622,9 @@ def solve_design_ode(base: StochasticMatrix, space: LoadStateSpace, kind: str,
         )
 
     util = as_values(space.util, space.dim)
-    support = _support(base)
 
     def rate(h):
-        return _design_rate(kind, _scatter(support, _tilt_at_h(support, space, h)),
+        return _design_rate(kind, _scatter(base, _tilt_at_h(base.nonzeros, space, h)),
                             util, space.anchor)
 
     if kind == "spd":
@@ -738,14 +714,13 @@ def geometric_compose(family: DesignFamily, gamma: float) -> DesignFamily:
 
 
 def reward_value(p: StochasticMatrix, base: StochasticMatrix, util,
-                 zeta: float, pi: Pmf | None = None) -> float:
+                 zeta: float) -> float:
     """Average output payoff at command zeta net of the control divergence.
 
     zeta * pi_p(util) - K(p | base), with K the Donsker-Varadhan rate of
     ``p`` relative to ``base`` under the invariant pmf of ``p``.
     """
-    if pi is None:
-        pi = invariant_pmf(p)
+    pi = invariant_pmf(p)
     return float(zeta * pi.mean(util) - relative_entropy_rate(p, base, pi))
 
 
@@ -761,7 +736,7 @@ def optimality_residual(h, eta: float, zeta: float, base: StochasticMatrix,
     Returns the maximum absolute defect over states.
     """
     h = as_values(h, space.dim)
-    support = _support(base)
+    support = base.nonzeros
     _, _, log_norm = _log_normalizer_raw(support, _lift_on_support(space, support, h))
     defect = zeta * as_values(space.util) + log_norm - h - eta
     return float(np.abs(defect).max())

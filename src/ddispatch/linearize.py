@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NearSingular, UnstablePole, ValidationError
 from .fileio import atomic_write_text
-from .markov import Pmf, StochasticMatrix, as_values, geometric_mix, _frozen, _reversal_raw
+from .markov import Pmf, StochasticMatrix, as_values, _frozen, _reversal_raw
 
 __all__ = [
     "LinearModel",
@@ -136,7 +136,7 @@ def linearize(family, zeta: float) -> LinearModel:
     """
     rate = family.structure.sampling_rate
     jump = family.jump_kernel_at(zeta)
-    kern = geometric_mix(jump, rate)
+    kern = family.kernel_at(zeta)
     pi = family.pi_at(zeta)
     pair = family.pair_rate_at(zeta)
     util = as_values(family.space.util, kern.dim)

@@ -4,11 +4,14 @@ Small, exact building blocks used everywhere else in the package: validated
 row-stochastic matrices, probability vectors, invariant distributions via a
 direct linear solve, fundamental matrices, time-reversal adjoints, Poisson's
 equation, and the relative entropy rate between chains sharing a support.
-Values are immutable after construction and safe to share between threads.
+Values are immutable and safe to share between threads.  A kernel's support
+mask and nonzeros are computed on first use and kept; a race between threads
+at worst computes the same value twice.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -42,6 +45,19 @@ def _check_row_sums(sums: np.ndarray):
         raise ValidationError(f"row sums deviate from 1 by {row_err:.3e}")
 
 
+class Nonzeros(NamedTuple):
+    """Nonzeros of a matrix in row-major order, as read-only arrays.
+
+    Entry (rows[k], cols[k]) is values[k]; row x's entries begin at
+    starts[x].  No row of a stochastic matrix is empty.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class StochasticMatrix:
     """Row-stochastic matrix.
@@ -49,7 +65,8 @@ class StochasticMatrix:
     Square instances are transition kernels on a state space of size ``dim``.
     Rectangular instances are conditional distributions over a second index
     set (used for factored kernels). Entries must be nonnegative and each row
-    must sum to one within ``ROW_SUM_TOL``.
+    must sum to one within ``ROW_SUM_TOL``.  ``support`` and ``nonzeros`` are
+    computed on first use and kept.
     """
 
     entries: np.ndarray
@@ -64,7 +81,6 @@ class StochasticMatrix:
             raise ValidationError(f"negative entry {entries.min():.3e} in stochastic matrix")
         _check_row_sums(entries.sum(axis=1))
         object.__setattr__(self, "entries", _frozen(entries))
-        object.__setattr__(self, "_support", _frozen(entries > 0.0, dtype=bool))
 
     @property
     def dim(self) -> int:
@@ -78,10 +94,20 @@ class StochasticMatrix:
     def is_square(self) -> bool:
         return self.entries.shape[0] == self.entries.shape[1]
 
-    @property
+    @functools.cached_property
     def support(self) -> np.ndarray:
         """Boolean mask of strictly positive entries."""
-        return self._support
+        return _frozen(self.entries > 0.0, dtype=bool)
+
+    @functools.cached_property
+    def nonzeros(self) -> Nonzeros:
+        """Strictly positive entries with their positions, row by row."""
+        rows, cols = np.divmod(np.flatnonzero(self.support), self.shape[1])
+        starts = np.searchsorted(rows, np.arange(self.shape[0]))
+        arrays = (rows, cols, self.entries[rows, cols], starts)
+        for a in arrays:
+            a.setflags(write=False)
+        return Nonzeros(*arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,14 +435,12 @@ def relative_entropy_rate(p: StochasticMatrix, p0: StochasticMatrix, pi: Pmf) ->
     _require_square(p, "relative entropy rate")
     if p.shape != p0.shape:
         raise ValidationError(f"shape mismatch {p.shape} vs {p0.shape}")
-    mask = p.support
-    if np.any(mask & ~p0.support):
+    nz = p.nonzeros
+    ref = p0.entries[nz.rows, nz.cols]
+    if not ref.all():  # entries are >= 0, so no zero means all positive
         raise SupportViolation("kernel leaves the support of the reference kernel")
-    ratio = np.ones_like(p.entries)
-    np.divide(p.entries, p0.entries, out=ratio, where=mask)
-    terms = np.zeros_like(p.entries)
-    np.multiply(p.entries, np.log(ratio, where=mask, out=np.zeros_like(ratio)), out=terms, where=mask)
-    value = float(pi.weights @ terms.sum(axis=1))
+    terms = nz.values * np.log(nz.values / ref)
+    value = float(pi.weights @ np.add.reduceat(terms, nz.starts))
     if value < -1e-12:
         raise SingularSystem(f"entropy rate came out {value:.3e} < 0")
     return max(value, 0.0)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BadCutoffs, ValidationError
 from .fileio import FORMAT_VERSION, atomic_write_text, malformed
 from .linearize import dc_gain, linearize
-from .markov import Pmf, as_values
+from .markov import Nonzeros, Pmf, as_values
 
 __all__ = [
     "SignalSet",
@@ -221,33 +221,33 @@ def fleet_step(state: FleetState, zeta: float, family, rng) -> tuple[FleetState,
     p = family.kernel_at(zeta)
     cum = np.cumsum(p.entries, axis=1)
     u = rng.random(state.n)
-    nxt = _inverse_transform(cum, p.support, state.states, u)
+    nxt = _inverse_transform(cum, p.nonzeros, state.states, u)
     out = FleetState(nxt)
     util = as_values(family.space.util, family.space.dim)
     return out, float(util[nxt].mean())
 
 
-def _inverse_transform(cum: np.ndarray, support: np.ndarray, rows: np.ndarray,
+def _inverse_transform(cum: np.ndarray, support: Nonzeros, rows: np.ndarray,
                        u: np.ndarray) -> np.ndarray:
     """Per agent, the count of entries of its row of ``cum`` below its ``u``,
     capped at d - 1 so dust in the row sum cannot leave the state space.
 
-    Rows of ``cum`` are cumulative sums of nonnegative entries, so they are
-    nondecreasing and rise only at the columns in ``support``.  For u > 0
-    the count is therefore the first such column whose sum reaches u, or
-    d - 1 when no column before the last one does.  Each row keeps only
-    those columns, padded with +inf to a power-of-two width above the
-    longest row, and a branch-free binary search counts the entries below
-    u: ceil(log2(k + 1)) gathers of N entries for k the most columns a row
-    keeps, plus one to read the column, instead of ceil(log2 d) gathers.
+    Rows of ``cum`` are cumulative sums of the kernel whose nonzeros are
+    ``support``, so they are nondecreasing and rise only at those columns.
+    For u > 0 the count is therefore the first such column whose sum
+    reaches u, or d - 1 when none does.  Each row keeps only those columns,
+    padded with +inf (read as column d - 1) to a power-of-two width above
+    the longest row, and a branch-free binary search counts the entries
+    below u: ceil(log2(k + 1)) gathers of N entries for k the most nonzeros
+    in a row, plus one to read the column, instead of ceil(log2 d) gathers.
     A draw u = 0.0 is below no entry, so it lands in column 0 even where
     that column holds no mass.
     """
     d = cum.shape[1]
-    r, c = np.nonzero(support[:, :d - 1])
+    r, c = support.rows, support.cols
     counts = np.bincount(r, minlength=d)
     width = 1 << int(counts.max()).bit_length()
-    slot = np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    slot = np.arange(r.size) - support.starts[r]
     table = np.full((d, width), np.inf)
     table[r, slot] = cum[r, c]
     columns = np.full((d, width), d - 1)

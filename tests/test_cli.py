@@ -574,6 +574,36 @@ class TestDecompose:
                     "--out", tmp_path / "o.csv"]) == 2
 
 
+class TestDeterminism:
+    def test_chain_writes_identical_bytes(self, tmp_path, monkeypatch):
+        # two runs of one chain in two directories write the same files
+        def chain(work):
+            work.mkdir()
+            monkeypatch.chdir(work)
+            assert run(["model", "--kind", "pool", "--out", "model.json"]) == 0
+            assert run(["design", "--model", "model.json", "--kind", "ipd",
+                        "--zeta-max", "0.2", "--step", "0.05", "--out", "family.json"]) == 0
+            assert run(["analyze", "--family", "family.json", "--zeta", "-0.1", "0", "0.1",
+                        "--theta-count", "16", "--out", "bode.csv"]) == 0
+            for plant in ("meanfield", "fleet"):
+                write_json(work / f"{plant}.json", {
+                    "format_version": 1, "payload": "scenario", "mode": "track",
+                    "family": "family.json", "steps": 50, "seed": 4, "plant": plant,
+                    "n": 500, "reference": {"kind": "sine", "amplitude": 0.03,
+                                            "period_steps": 20},
+                })
+                assert run(["simulate", "--scenario", f"{plant}.json",
+                            "--out", f"{plant}.csv"]) == 0
+            return {p.name: p.read_bytes() for p in work.iterdir()}
+
+        first, second = chain(tmp_path / "a"), chain(tmp_path / "b")
+        assert set(first) == {"model.json", "family.json", "bode.csv",
+                              "bode.csv.passivity.json", "meanfield.json", "fleet.json",
+                              "meanfield.csv", "meanfield.csv.metrics.json",
+                              "fleet.csv", "fleet.csv.metrics.json"}
+        assert first == second
+
+
 class TestEntryPoint:
     def test_thread_cap_env(self, monkeypatch):
         from ddispatch.cli import _apply_thread_cap

@@ -255,6 +255,24 @@ class TestSupportTilt:
             np.testing.assert_allclose(tilted.entries, want, rtol=0.0, atol=1e-13)
             np.testing.assert_allclose(log_norm.values, lam, rtol=0.0, atol=1e-13)
 
+    def test_nonzeros_built_once(self, rng, monkeypatch):
+        # a family reads its base's nonzeros; tilting that base again, or
+        # checking a design on it, builds nothing
+        base = sparse_random_chain(rng, 8)
+        space = simple_space(rng.normal(size=8))
+        fam = solve_design_ode(base, space, "ipd", 0.2, step=0.1)
+        assert fam.support is fam.base.nonzeros
+        h = fam.h_at(0.2)
+        tilt(base, lift_control(space, h))
+        calls = []
+        nonzero = np.nonzero
+        monkeypatch.setattr(np, "nonzero", lambda *a: calls.append(1) or nonzero(*a))
+        tilt(base, lift_control(space, h))
+        optimality_residual(h, 0.0, 0.2, base, space)
+        assert calls == []
+        StochasticMatrix(base.entries).nonzeros  # the counter does count
+        assert calls == [1]
+
     def test_underflow_is_caught_on_every_path(self):
         base = StochasticMatrix(np.full((2, 2), 0.5))
         with pytest.raises(NonFinite, match="support of the tilted kernel shrank"):

@@ -45,6 +45,22 @@ class TestTypes:
         p = two_state(0.3, 0.0)
         assert p.support.tolist() == [[True, True], [False, True]]
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (7, 7), (40, 40), (5, 3), (3, 8)])
+    def test_nonzeros_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        m = rng.dirichlet(np.ones(shape[1]), size=shape[0])
+        m[rng.random(shape) < 0.6] = 0.0
+        m[np.arange(shape[0]), rng.integers(0, shape[1], shape[0])] += 0.1  # no empty row
+        p = StochasticMatrix(m / m.sum(axis=1, keepdims=True))
+        nz = p.nonzeros
+        rows, cols = np.nonzero(p.entries > 0.0)  # row-major order
+        assert np.array_equal(nz.rows, rows) and np.array_equal(nz.cols, cols)
+        assert np.array_equal(nz.values, p.entries[rows, cols])
+        assert nz.starts.tolist() == [np.flatnonzero(rows == x)[0] for x in range(shape[0])]
+        assert p.nonzeros is nz and p.support is p.support
+        for a in (*nz, p.support):
+            assert not a.flags.writeable
+
     def test_entries_immutable(self):
         p = two_state(0.3, 0.4)
         with pytest.raises(ValueError):
@@ -259,6 +275,43 @@ class TestEntropyRate:
         got = relative_entropy_rate(p, p0, pi)
         assert got == pytest.approx(expected, abs=1e-13)
         assert got >= 0.0
+
+    @staticmethod
+    def dense_rate(p, p0, pi):
+        """sum_x pi(x) sum_y p log(p / p0), masked to p > 0 over d x d."""
+        mask = p > 0.0
+        ratio = np.ones_like(p)
+        np.divide(p, p0, out=ratio, where=mask)
+        return pi @ np.where(mask, p * np.log(ratio), 0.0).sum(axis=1)
+
+    @staticmethod
+    def sparser_tilt(rng, p0):
+        """A kernel on part of the support of ``p0``, every row nonempty."""
+        d = p0.dim
+        m = p0.entries * np.exp(rng.normal(size=(d, d)))
+        drop = rng.random((d, d)) < 0.3
+        drop[np.arange(d), m.argmax(axis=1)] = False
+        m[drop] = 0.0
+        return StochasticMatrix(m / m.sum(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 9, 17, 40])
+    def test_matches_dense_masked_formula(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            p0 = sparse_random_chain(rng, d, extra_edges=3)
+            p = self.sparser_tilt(rng, p0)
+            pi = Pmf(rng.dirichlet(np.ones(d)))
+            want = self.dense_rate(p.entries, p0.entries, pi.weights)
+            assert relative_entropy_rate(p, p0, pi) == pytest.approx(want, rel=1e-15)
+
+    def test_support_violation_on_sparse_chain(self, rng):
+        p0 = sparse_random_chain(rng, 12)
+        m = self.sparser_tilt(rng, p0).entries.copy()
+        x, y = np.argwhere(~p0.support)[0]
+        m[x, y] = 0.5
+        p = StochasticMatrix(m / m.sum(axis=1, keepdims=True))
+        with pytest.raises(SupportViolation):
+            relative_entropy_rate(p, p0, Pmf(np.full(12, 1.0 / 12)))
 
     def test_support_violation(self):
         p0 = two_state(0.5, 0.0)  # second row has no mass on state 0

@@ -279,6 +279,30 @@ class TestFleet:
         assert np.array_equal(got, expect)
         assert np.all(got[1::2] == d - 1)
 
+    def test_last_column_in_every_row(self):
+        # the row search keeps column d - 1 when it has mass: a draw up to
+        # the row total lands there, and one above it is capped there
+        rng = np.random.default_rng(3)
+        d = 10
+        p = rng.dirichlet(np.ones(d), size=d)
+        p[rng.random((d, d)) < 0.5] = 0.0
+        p[:, -1] += 0.1
+        p[4] = 0.0
+        p[4, -1] = 1.0                     # a row whose only mass is the last column
+        p /= p.sum(axis=1, keepdims=True)
+        p *= 1.0 - 2e-13
+        cum = np.cumsum(p, axis=1)
+        states = rng.integers(0, d, 3000)
+        u = rng.random(states.size)
+        u[::3] = cum[states[::3], rng.integers(0, d, 1000)]   # on a cumsum entry
+        u[1::3] = cum[states[1::3], -1]                       # on the row total
+        u[2::6] = np.nextafter(cum[states[2::6], -1], 1.0)    # just above it
+        assert np.all(u[2::6] > cum[states[2::6], -1])
+        got, _ = self._step_with_draws(p, states, u)
+        assert np.array_equal(got, self._compare_nxd(p, states, u))
+        assert np.all(got[1::3] == d - 1)
+        assert np.all(got[(states == 4) & (u > 0.0)] == d - 1)
+
     def test_time_average_approaches_mean_power(self, fam):
         z = 0.4
         y, _ = fleet_rollout(fam, z * np.ones(4000), n=50, seed=5)
