@@ -324,7 +324,7 @@ class Scenario:
         with malformed("scenario"):  # also a steps count too large for an array
             if mode != "trajectory" or "family" in doc:
                 family = load_family(os.path.join(os.path.dirname(os.path.abspath(path)),
-                                                  str(doc["family"])))
+                                                  string(doc["family"])))
             reference = _reference(doc.get("reference", {}), steps)
         return cls(mode=mode, family=family, steps=steps, settle=settle, seed=seed,
                    n=field(doc, "n", integer, 1000),

@@ -554,8 +554,8 @@ class DesignFamily:
             zeta_grid=numbers(doc["zeta_grid"], 1),
             h_grid=numbers(doc["h_grid"], 2),
             generator=None if gen is None else numbers(gen, 1),
-            model_hash=doc.get("model_hash"),
-            synthesis=doc.get("synthesis"),
+            model_hash=field(doc, "model_hash", string, None),
+            synthesis=json_object(doc.get("synthesis", {}), "synthesis"),
         )
 
 
@@ -610,8 +610,7 @@ def solve_design_ode(base: StochasticMatrix, space: LoadStateSpace, kind: str,
         structure = FamilyStructure(has_exogenous=space.n_exo > 1)
     if not base.is_square or base.dim != space.dim:
         raise ValidationError("base kernel does not match the state space")
-    report = check_irreducible_aperiodic(base)
-    if not report.irreducible:
+    if not check_irreducible_aperiodic(base).irreducible:
         raise NotIrreducible("base kernel is not irreducible")
     if kind == "spd" and space.n_exo > 1:
         warnings.warn(

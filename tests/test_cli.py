@@ -327,9 +327,11 @@ class TestAnalyze:
         ("format_version", 1.5),
         ("format_version", True),
         ("format_version", "1"),
+        ("model_hash", [1]),
+        ("synthesis", [["a", 1]]),
     ], ids=["no_kind", "format_version_text", "zeta_grid_text", "space_list",
             "structure_list", "format_version_fractional", "format_version_true",
-            "format_version_number_text"])
+            "format_version_number_text", "model_hash_list", "synthesis_list"])
     def test_malformed_family(self, workdir, tmp_path, capsys, key, value):
         doc = read_json(workdir["family"])
         if value is None:
@@ -492,15 +494,21 @@ class TestSimulate:
         {"mode": "track", "family": None, "controller": {"kp": True}},
         {"mode": "track", "family": None, "controller": {"ki": False}},
         {"mode": "track", "family": None, "controller": {"zeta_limit": True}},
+        {"payload": "scenario", "mode": "constant", "family": 5},
+        {"payload": "scenario", "mode": "constant", "family": None},
+        {"payload": "scenario", "mode": "constant", "family": ["f.json"]},
     ], ids=["no_family", "steps_not_integer", "top_level_list", "controller_list",
             "steps_negative", "settle_not_below_steps", "settle_negative",
             "seed_negative", "seed_fractional", "zeta_nan", "amplitude_inf",
             "period_steps_zero", "anti_windup_text", "plant_unknown",
             "steps_true", "zeta_false", "steps_true_zeta_false", "period_s_true",
             "steps_text", "format_version_text", "period_s_text", "kp_true",
-            "ki_false", "zeta_limit_true"])
+            "ki_false", "zeta_limit_true", "family_number", "family_null",
+            "family_list"])
     def test_malformed_scenario(self, workdir, tmp_path, capsys, doc):
-        if isinstance(doc, dict):
+        # a document that names its payload is written as it is; in the
+        # others a "family" key names the working family
+        if isinstance(doc, dict) and "payload" not in doc:
             doc = dict({"format_version": 1, "payload": "scenario"}, **doc)
             if "family" in doc:
                 doc["family"] = str(workdir["family"])

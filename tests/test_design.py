@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from ddispatch import markov
 from ddispatch.design import (
     DesignFamily,
     FamilyStructure,
     LoadStateSpace,
+    _design_rate,
     build_exponential_family,
     family_optimality_residual,
     geometric_compose,
@@ -34,6 +36,8 @@ from ddispatch.loads import PoolModelSpec, build_pool_model, synthesis_inputs
 from ddispatch.markov import (
     StateFunction,
     StochasticMatrix,
+    _invariant_raw,
+    _poisson_raw,
     adjoint_product,
     invariant_pmf,
     relative_entropy_rate,
@@ -537,6 +541,44 @@ def count_solves(monkeypatch):
     return calls
 
 
+class TestOneFactorization:
+    def test_rate_evaluation_solves_twice(self, rng, monkeypatch):
+        # one invariant and one Poisson system, each factorized once
+        p = random_chain(rng, 6)
+        util = rng.normal(size=6)
+        calls = count_solves(monkeypatch)
+        for kind in ("ipd", "spd"):
+            calls.clear()
+            _design_rate(kind, p.entries, util, 0)
+            assert len(calls) == 2
+
+    def test_residual_margin_at_small_mass(self):
+        # a tilted pool jump kernel whose invariant pmf reaches 1.5e-8: the
+        # residuals sit far inside INVARIANT_TOL (1e-12) and POISSON_TOL
+        # (1e-10), so a loss of accuracy shows before a check would trip
+        model = build_pool_model(PoolModelSpec())
+        base, _ = synthesis_inputs(model, "compose")
+        space = model.space
+        u = space.util.values
+        p = tilt(base, lift_control(space, (u.mean() - u) / np.ptp(u)))[0].entries
+        pi = _invariant_raw(p)
+        assert 0.0 < pi.min() < 1e-7
+        assert np.abs(pi @ p - pi).sum() <= 1e-14
+        h = _poisson_raw(p, pi, u, space.anchor)
+        assert np.abs(p @ h - (h - u + pi @ u)).max() <= 1e-12
+
+    def test_design_classifies_its_base_once(self, monkeypatch):
+        calls = []
+        components = markov._strong_components
+        monkeypatch.setattr(markov, "_strong_components",
+                            lambda adj: calls.append(1) or components(adj))
+        base = random_chain(np.random.default_rng(7), 3)
+        space = simple_space([1.0, 0.0, -1.0])
+        ipd_map(base, space.util)  # what --util-scale auto evaluates
+        solve_design_ode(base, space, "ipd", 0.1, step=0.05)
+        assert calls == [1]
+
+
 class TestPmfsOnDemand:
     def test_load_solves_nothing(self, tmp_path, monkeypatch):
         fam = build_exponential_family(random_chain(np.random.default_rng(3), 4),
@@ -548,7 +590,7 @@ class TestPmfsOnDemand:
         back = load_family(tmp_path / "family.json")
         assert len(calls) == 0
         back.pi_at(1.5)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_ubars_is_ubar_at_over_the_grid(self, monkeypatch):
         fam = ode_family(zeta_max=0.5)

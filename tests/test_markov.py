@@ -5,6 +5,7 @@ import pytest
 
 from ddispatch.errors import (
     NotIrreducible,
+    SingularSystem,
     SupportViolation,
     ValidationError,
     ZeroMass,
@@ -109,6 +110,17 @@ class TestStructure:
             rep = check_irreducible_aperiodic(random_chain(rng, d))
             assert rep.irreducible and rep.aperiodic
 
+    def test_report_is_kept(self, rng):
+        p = sparse_random_chain(rng, 7)
+        assert check_irreducible_aperiodic(p) is check_irreducible_aperiodic(p)
+        assert p.structure is check_irreducible_aperiodic(p)
+
+    def test_rectangular_rejected(self):
+        p = StochasticMatrix(np.full((2, 3), 1.0 / 3.0))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="structure check needs a square"):
+                check_irreducible_aperiodic(p)
+
 
 class TestInvariantPmf:
     def test_hand_computed_two_state(self):
@@ -171,6 +183,18 @@ class TestFundamentalMatrix:
         p = sparse_random_chain(rng, 9)
         z = fundamental_matrix(p, invariant_pmf(p))
         np.testing.assert_allclose(z.sum(axis=1), np.ones(9), atol=1e-10)
+
+    def test_singular_system_reported(self, rng, monkeypatch):
+        p = random_chain(rng, 4)
+        pi = invariant_pmf(p)
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        with pytest.raises(SingularSystem,
+                           match="^fundamental matrix solve failed: Singular matrix$"):
+            fundamental_matrix(p, pi)
 
 
 class TestAdjoint:

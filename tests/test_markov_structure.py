@@ -71,6 +71,12 @@ def test_components_match_transitive_closure(m):
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(masks())
+def test_adjacency_matches_row_nonzeros(m):
+    assert _adjacency(m) == [np.flatnonzero(row).tolist() for row in m]
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(masks(nonempty_rows=True))
 def test_structure_report_matches_closure_and_primitivity(m):
     blocks = _closure_partition(m)
