@@ -57,14 +57,14 @@ from .sim import (SignalSet, TrackingConfig, fleet_rollout,  # noqa: E402
 
 
 def _positive(cast, noun: str):
-    """Argument type: a positive value of ``cast``."""
+    """Argument type: a positive finite value of ``cast``."""
     def parse(text: str):
         try:
             value = cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not {noun}")
-        if value <= 0:
-            raise argparse.ArgumentTypeError("must be positive")
+        if not 0 < value < np.inf:
+            raise argparse.ArgumentTypeError("must be positive and finite")
         return value
     return parse
 
@@ -188,10 +188,10 @@ def _scaled_space(ns, base, space):
             scale = 1.0
     else:
         try:
-            scale = float(ns.util_scale)
+            scale = finite(float(ns.util_scale))
         except ValueError:
             raise ValidationError(
-                f"--util-scale must be a positive number or 'auto', "
+                f"--util-scale must be a positive finite number or 'auto', "
                 f"got {ns.util_scale!r}")
         if scale <= 0.0:
             raise ValidationError("--util-scale must be positive")

@@ -49,7 +49,6 @@ from .markov import (
     StochasticMatrix,
     _check_row_sums,
     _checked_invariant_raw,
-    _invariant_raw,
     _poisson_raw,
     _reversal_raw,
     adjoint_product,
@@ -267,9 +266,9 @@ def ipd_map(p: StochasticMatrix, util, anchor: int = 0) -> StateFunction:
     """Individual-perspective design direction at kernel ``p``.
 
     The unique solution ``h`` of  h - P h = util - pi(util)  with
-    h(anchor) = 0.  Integrating this direction produces, at each command
-    value, the policy a single load would choose to maximize its own
-    long-run utility net of control effort.
+    h(anchor) = 0, found without solving for pi.  Integrating this
+    direction produces, at each command value, the policy a single load
+    would choose to maximize its own long-run utility net of control effort.
     """
     return poisson_solve(p, util, anchor=anchor)
 
@@ -279,11 +278,12 @@ def spd_map(p: StochasticMatrix, util, anchor: int = 0) -> StateFunction:
 
     Solves the same centered equation as :func:`ipd_map` but with the
     doubled kernel  P-dagger P  in place of P, where P-dagger is the time
-    reversal of P.  Integrating this direction yields families whose
-    small-signal response aggregates passively (no phase surprises for the
-    grid operator).  Raises :class:`AdjointProductReducible` when the
-    doubled kernel is not irreducible, in which case the centered equation
-    has no usable solution.
+    reversal of P; the residual is checked as in :func:`ipd_map`.  Only the
+    time reversal needs the invariant pmf.  Integrating this direction
+    yields families whose small-signal response aggregates passively (no
+    phase surprises for the grid operator).  Raises
+    :class:`AdjointProductReducible` when the doubled kernel is not
+    irreducible, in which case the centered equation has no usable solution.
     """
     f = as_values(util, p.dim)
     pi = invariant_pmf(p)
@@ -293,24 +293,22 @@ def spd_map(p: StochasticMatrix, util, anchor: int = 0) -> StateFunction:
             "time-reversal product kernel is reducible; "
             "system-perspective design is undefined for this model"
         )
-    h = _poisson_raw(doubled.entries, pi.weights, f, anchor)
+    h = _poisson_raw(doubled.entries, f, anchor)
     units = util.units if isinstance(util, StateFunction) else ""
     return StateFunction(h, units)
 
 
 def _design_rate(kind: str, p_arr: np.ndarray, util: np.ndarray,
                  anchor: int) -> np.ndarray:
-    """Unchecked design direction of an ODE kind at kernel ``p_arr``.
+    """Design direction of an ODE kind at kernel ``p_arr``, residual checked.
 
     The system-perspective rule is the individual one applied to the
-    doubled kernel P-dagger P; both keep the invariant pmf of P.
+    doubled kernel P-dagger P.  Only the time reversal needs the invariant
+    pmf of P; the Poisson solve needs none.
     """
-    pi = _invariant_raw(p_arr)
-    if pi.min() <= 0.0:
-        raise ZeroMass("invariant pmf lost positivity during continuation")
     if kind == "spd":
-        p_arr = _reversal_raw(p_arr, pi) @ p_arr
-    return _poisson_raw(p_arr, pi, util, anchor)
+        p_arr = _reversal_raw(p_arr, _checked_invariant_raw(p_arr)) @ p_arr
+    return _poisson_raw(p_arr, util, anchor)
 
 
 def _zero_direction(kind: str, base: StochasticMatrix,

@@ -444,8 +444,8 @@ def bode_export(responses, path=None, sample_period: float | None = None) -> str
             raise ValidationError("responses must share one angle grid")
     header = ["theta_rad"]
     if sample_period is not None:
-        if sample_period <= 0.0:
-            raise ValidationError("sample_period must be positive")
+        if not 0.0 < sample_period < math.inf:
+            raise ValidationError("sample_period must be positive and finite")
         header.append("freq_hz")
     for i, r in enumerate(responses):
         tag = r.label or f"resp{i}"

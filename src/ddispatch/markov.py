@@ -391,23 +391,29 @@ def geometric_mix(s: StochasticMatrix, gamma: float) -> StochasticMatrix:
     return StochasticMatrix((1.0 - gamma) * np.eye(s.dim) + gamma * s.entries)
 
 
-def _poisson_raw(p: np.ndarray, pi: np.ndarray, f: np.ndarray, anchor: int) -> np.ndarray:
-    """Solve (I - P + 1 pi) h = f and shift so that h[anchor] = 0.
+def _poisson_raw(p: np.ndarray, f: np.ndarray, anchor: int) -> np.ndarray:
+    """Solve P h = h - f + pi(f) with h[anchor] = 0, residual checked.
 
-    Left-multiplying the system by pi shows pi h = pi f automatically, so the
-    solution satisfies P h = h - f + pi(f) without explicit centering.
+    I - P + 1 e_a^T is nonsingular for an irreducible P (Kemeny, Linear
+    Algebra Appl. 38, 1981).  Left-multiplying (I - P + 1 e_a^T) g = f by pi
+    gives g[a] = pi(f), so h = g - g[a] solves the equation without pi.
     """
-    d = p.shape[0]
-    m = np.eye(d) - p + np.outer(np.ones(d), pi)
-    h = _solve(m, f, "poisson")
-    return h - h[anchor]
+    m = np.eye(p.shape[0]) - p
+    m[:, anchor] += 1.0
+    g = _solve(m, f, "poisson")
+    h = g - g[anchor]
+    residual = np.abs(p @ h - (h - f + g[anchor])).max()
+    if not residual <= POISSON_TOL:
+        raise SingularSystem(f"poisson residual {residual:.3e} exceeds {POISSON_TOL:.1e}")
+    return h
 
 
 def poisson_solve(p: StochasticMatrix, f, anchor: int = 0) -> StateFunction:
     """Solution of Poisson's equation P h = h - f + pi(f), anchored at a state.
 
     The anchor pins the additive constant: the returned function vanishes at
-    ``anchor``. Residual is checked within ``POISSON_TOL``.
+    ``anchor``.  The chain must be irreducible; the invariant pmf is not
+    needed.  Residual is checked within ``POISSON_TOL``.
     """
     _require_square(p, "poisson solve")
     fv = as_values(f)
@@ -415,14 +421,10 @@ def poisson_solve(p: StochasticMatrix, f, anchor: int = 0) -> StateFunction:
         raise ValidationError(f"function has {fv.size} values for a {p.dim}-state chain")
     if not 0 <= anchor < p.dim:
         raise ValidationError(f"anchor {anchor} outside 0..{p.dim - 1}")
-    pi = invariant_pmf(p)
-    h = _poisson_raw(p.entries, pi.weights, fv, anchor)
-    fbar = float(pi.weights @ fv)
-    residual = np.abs(p.entries @ h - (h - fv + fbar)).max()
-    if residual > POISSON_TOL:
-        raise SingularSystem(f"poisson residual {residual:.3e} exceeds {POISSON_TOL:.1e}")
+    if not check_irreducible_aperiodic(p).irreducible:
+        raise NotIrreducible("poisson solve needs an irreducible chain")
     units = f.units if isinstance(f, StateFunction) else ""
-    return StateFunction(h, units=units)
+    return StateFunction(_poisson_raw(p.entries, fv, anchor), units=units)
 
 
 def relative_entropy_rate(p: StochasticMatrix, p0: StochasticMatrix, pi: Pmf) -> float:

@@ -171,6 +171,24 @@ class TestDesign:
                     "--zeta-max", "0.5", "--step", "0",
                     "--out", tmp_path / "f.json"]) == 2
 
+    @pytest.mark.parametrize("flag,value", [("--zeta-max", "inf"), ("--zeta-max", "nan"),
+                                            ("--step", "nan"), ("--step", "inf")])
+    def test_non_finite_is_argument_error(self, workdir, tmp_path, capsys, flag,
+                                          value):
+        args = {"--zeta-max": "0.5", "--step": "0.05", flag: value}
+        assert run(["design", "--model", workdir["model"], "--kind", "ipd",
+                    *(a for item in args.items() for a in item),
+                    "--out", tmp_path / "f.json"]) == 2
+        assert f"argument {flag}: must be positive and finite" in capsys.readouterr().err
+
+    def test_raw_pool_ipd_reaches_wide_grids(self, tmp_path):
+        # no --util-scale: the design rate solves no invariant pmf
+        model, out = tmp_path / "pool.json", tmp_path / "f.json"
+        assert run(["model", "--kind", "pool", "--out", model]) == 0
+        assert run(["design", "--model", model, "--kind", "ipd", "--zeta-max", "3",
+                    "--step", "0.05", "--out", out]) == 0
+        assert load_family(out).zeta_grid[0] == pytest.approx(-3.0)
+
     def test_missing_model(self, tmp_path):
         assert run(["design", "--model", tmp_path / "no.json", "--kind", "ipd",
                     "--zeta-max", "0.5", "--out", tmp_path / "f.json"]) == 2
@@ -291,7 +309,7 @@ class TestDesign:
         assert not out.exists()
 
     def test_util_scale_rejects_garbage(self, workdir, tmp_path):
-        for bad in ("nope", "0", "-3"):
+        for bad in ("nope", "0", "-3", "inf", "nan"):
             assert run(["design", "--model", workdir["model"], "--kind",
                         "ipd", "--zeta-max", "0.5", "--util-scale", bad,
                         "--out", tmp_path / "f.json"]) == 3
@@ -313,6 +331,11 @@ class TestAnalyze:
     def test_zeta_outside_grid(self, workdir, tmp_path):
         assert run(["analyze", "--family", workdir["family"], "--zeta", "5",
                     "--out", tmp_path / "b.csv"]) == 4
+
+    @pytest.mark.parametrize("period", ["inf", "nan"])
+    def test_sample_period_must_be_finite(self, workdir, tmp_path, period):
+        assert run(["analyze", "--family", workdir["family"], "--zeta", "0",
+                    "--sample-period", period, "--out", tmp_path / "b.csv"]) == 2
 
     def test_zeta_required(self, workdir, tmp_path):
         assert run(["analyze", "--family", workdir["family"],

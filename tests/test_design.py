@@ -30,6 +30,7 @@ from ddispatch.errors import (
     NonFinite,
     NotIrreducible,
     OutOfGrid,
+    SingularSystem,
     ValidationError,
 )
 from ddispatch.loads import PoolModelSpec, build_pool_model, synthesis_inputs
@@ -309,6 +310,17 @@ class TestDesignMaps:
         resid = h.values - doubled.entries @ h.values - (util - pi.mean(util))
         assert np.abs(resid).max() <= 1e-9
 
+    def test_spd_checks_its_poisson_residual(self, rng, monkeypatch):
+        solve = markov._solve
+
+        def perturbed(a, b, what):
+            x = solve(a, b, what)
+            return x + 1e-6 * (what == "poisson") * np.arange(x.size)
+
+        monkeypatch.setattr(markov, "_solve", perturbed)
+        with pytest.raises(SingularSystem, match="poisson residual"):
+            spd_map(random_chain(rng, 4), rng.normal(size=4))
+
     def test_spd_rejects_reducible_doubled_kernel(self):
         with pytest.raises(AdjointProductReducible):
             spd_map(cycle_chain(4), np.array([1.0, 0.0, 0.0, -1.0]))
@@ -543,14 +555,15 @@ def count_solves(monkeypatch):
 
 class TestOneFactorization:
     def test_rate_evaluation_solves_twice(self, rng, monkeypatch):
-        # one invariant and one Poisson system, each factorized once
+        # one Poisson system, plus the invariant system that spd's time
+        # reversal needs; each factorized once
         p = random_chain(rng, 6)
         util = rng.normal(size=6)
         calls = count_solves(monkeypatch)
-        for kind in ("ipd", "spd"):
+        for kind, solves in (("ipd", 1), ("spd", 2)):
             calls.clear()
             _design_rate(kind, p.entries, util, 0)
-            assert len(calls) == 2
+            assert len(calls) == solves
 
     def test_residual_margin_at_small_mass(self):
         # a tilted pool jump kernel whose invariant pmf reaches 1.5e-8: the
@@ -564,7 +577,7 @@ class TestOneFactorization:
         pi = _invariant_raw(p)
         assert 0.0 < pi.min() < 1e-7
         assert np.abs(pi @ p - pi).sum() <= 1e-14
-        h = _poisson_raw(p, pi, u, space.anchor)
+        h = _poisson_raw(p, u, space.anchor)
         assert np.abs(p @ h - (h - u + pi @ u)).max() <= 1e-12
 
     def test_design_classifies_its_base_once(self, monkeypatch):
@@ -776,3 +789,27 @@ class TestIpdPerronOracle:
         fam = solve_design_ode(base, space, "ipd", 1.0, step=0.01,
                                structure=structure)
         assert perron_error(fam) <= 0.05 * 0.01 ** 4
+
+    def test_raw_pool_jump_kernel(self):
+        # unscaled utility: the LU invariant pmf's least entry reads 0 by
+        # command -1, but the Poisson solve needs no pmf (measured 2.1e-8)
+        pool = build_pool_model(PoolModelSpec())
+        base, structure = synthesis_inputs(pool, "compose")
+        fam = solve_design_ode(base, pool.space, "ipd", 1.0, step=0.01,
+                               structure=structure)
+        assert perron_error(fam) <= 5e-8
+
+
+class TestRawScale:
+    def test_raw_pool_is_util_scale_in_other_units(self):
+        # dividing the utility by 16 and multiplying commands and step by 16
+        # scales every float by a power of two, so the families agree bitwise
+        pool = build_pool_model(PoolModelSpec())
+        base, structure = synthesis_inputs(pool, "compose")
+        u = pool.space.util.values
+        raw = solve_design_ode(base, simple_space(u, pool.space.anchor), "ipd",
+                               1.5, step=0.05, structure=structure)
+        scaled = solve_design_ode(base, simple_space(u / 16.0, pool.space.anchor),
+                                  "ipd", 16.0 * 1.5, step=16.0 * 0.05,
+                                  structure=structure)
+        assert raw.h_grid.tobytes() == scaled.h_grid.tobytes()

@@ -506,6 +506,11 @@ class TestBodeExport:
         text = bode_export([])
         assert text == "theta_rad\n"
 
+    @pytest.mark.parametrize("period", [math.inf, math.nan])
+    def test_sample_period_must_be_finite(self, period):
+        with pytest.raises(ValidationError, match="sample_period"):
+            bode_export([], sample_period=period)
+
     def test_three_designs_export(self, tmp_path):
         chain = random_chain(np.random.default_rng(61), 4)
         space = simple_space([1.0, 0.4, -0.4, -1.0])
