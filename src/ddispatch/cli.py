@@ -56,21 +56,22 @@ from .sim import (SignalSet, TrackingConfig, fleet_rollout,  # noqa: E402
                   frequency_decompose, meanfield_rollout, track, tracking_metrics)
 
 
-def _positive(cast, noun: str):
-    """Argument type: a positive finite value of ``cast``."""
+def _number(cast, noun: str, low: float = 0.0, what: str = "positive and finite"):
+    """Argument type: a finite value of ``cast`` above ``low``."""
     def parse(text: str):
         try:
             value = cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not {noun}")
-        if not 0 < value < np.inf:
-            raise argparse.ArgumentTypeError("must be positive and finite")
+        if not low < value < np.inf:
+            raise argparse.ArgumentTypeError(f"must be {what}")
         return value
     return parse
 
 
-_positive_float = _positive(float, "a number")
-_positive_int = _positive(int, "an integer")
+_positive_float = _number(float, "a number")
+_positive_int = _number(int, "an integer")
+_finite_float = _number(float, "a number", -np.inf, "finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="linearize a family and export "
                                        "frequency responses")
     p.add_argument("--family", required=True, help="family JSON path")
-    p.add_argument("--zeta", type=float, nargs="+", required=True,
+    p.add_argument("--zeta", type=_finite_float, nargs="+", required=True,
                    help="command values to linearize at")
     p.add_argument("--theta-count", type=_positive_int, default=2048)
     p.add_argument("--sample-period", type=_positive_float, default=None,

@@ -40,7 +40,7 @@ from .errors import (
     ValidationError,
     ZeroMass,
 )
-from .fileio import (FORMAT_VERSION, boolean, document, field, finite, integer,
+from .fileio import (FORMAT_VERSION, document, field, finite, integer,
                      json_object, malformed, numbers, read_json, string, write_json)
 from .markov import (
     Nonzeros,
@@ -191,10 +191,9 @@ def lift_control(space: LoadStateSpace, h_control) -> np.ndarray:
     return np.repeat(_exo_table(space, h), space.n_exo, axis=1)
 
 
-def _scatter(base: StochasticMatrix, values: np.ndarray) -> np.ndarray:
-    """Dense matrix holding ``values`` at the nonzeros of ``base``, zeros elsewhere."""
-    support = base.nonzeros
-    out = np.zeros(base.shape)
+def _scatter(support: Nonzeros, values: np.ndarray) -> np.ndarray:
+    """Square matrix holding ``values`` at ``support``, zeros elsewhere."""
+    out = np.zeros((support.starts.size,) * 2)
     out[support.rows, support.cols] = values
     return out
 
@@ -259,7 +258,7 @@ def tilt(base: StochasticMatrix, pair) -> tuple[StochasticMatrix, StateFunction]
         raise ValidationError(f"pair function shape {pair.shape} != {base.shape}")
     support = base.nonzeros
     tilted, log_norm = _tilt_raw(support, pair[support.rows, support.cols])
-    return StochasticMatrix(_scatter(base, tilted)), StateFunction(log_norm)
+    return StochasticMatrix(_scatter(support, tilted)), StateFunction(log_norm)
 
 
 def ipd_map(p: StochasticMatrix, util, anchor: int = 0) -> StateFunction:
@@ -333,7 +332,6 @@ class FamilyStructure:
 
     sampling: str = "direct"
     gamma: float | None = None
-    has_exogenous: bool = False
 
     def __post_init__(self):
         if self.sampling not in ("direct", "composed"):
@@ -350,15 +348,13 @@ class FamilyStructure:
         return self.gamma if self.sampling == "composed" else 1.0
 
     def to_json(self) -> dict:
-        return {"sampling": self.sampling, "gamma": self.gamma,
-                "has_exogenous": self.has_exogenous}
+        return {"sampling": self.sampling, "gamma": self.gamma}
 
     @classmethod
     def from_json(cls, doc: dict) -> "FamilyStructure":
         gamma = json_object(doc, "structure").get("gamma")
         return cls(sampling=doc["sampling"],
-                   gamma=None if gamma is None else finite(gamma),
-                   has_exogenous=field(doc, "has_exogenous", boolean, False))
+                   gamma=None if gamma is None else finite(gamma))
 
 
 class DesignFamily:
@@ -421,9 +417,7 @@ class DesignFamily:
             self.generator.setflags(write=False)
         self.model_hash = model_hash
         self.synthesis = dict(synthesis or {})
-        self._last_jump = None  # (command, jump kernel) of the last jump_kernel_at
-        util_values = as_values(space.util)
-        self.trivial = bool(util_values.max() - util_values.min() < 1e-12)
+        self._last_jump = None  # (command, jump values) of the last jump_values_at
 
         # Tilting keeps the support and the lazy mix adds only self-loops, so
         # the base has the connectivity of every command's per-step kernel.
@@ -434,6 +428,17 @@ class DesignFamily:
     def support(self) -> Nonzeros:
         """Nonzeros of the base, which every command's jump kernel shares."""
         return self.base.nonzeros
+
+    @functools.cached_property
+    def step_support(self) -> Nonzeros:
+        """Nonzeros of the untilted per-step kernel, which every command's shares."""
+        return geometric_mix(self.base, self.structure.sampling_rate).nonzeros
+
+    @functools.cached_property
+    def _jump_slots(self) -> np.ndarray:
+        """Position of each entry of ``support`` in ``step_support``."""
+        step, jump, d = self.step_support, self.support, self.space.dim
+        return np.searchsorted(step.rows * d + step.cols, jump.rows * d + jump.cols)
 
     @functools.cached_property
     def ubars(self) -> np.ndarray:
@@ -473,25 +478,37 @@ class DesignFamily:
         return lift_control(self.space, self.h_at(zeta))
 
     def jump_values_at(self, zeta: float) -> np.ndarray:
-        """Jump kernel at a command on ``support``: one value per nonzero."""
-        return _tilt_at_h(self.support, self.space, self.h_at(zeta))
+        """Jump kernel at a command on ``support``: one value per nonzero.
 
-    def jump_kernel_at(self, zeta: float) -> StochasticMatrix:
-        """Tilted kernel before any lazy composition.
-
-        The kernel of the last command asked for is kept, so the per-step
+        The values of the last command asked for are kept, so the per-step
         kernel, invariant pmf and design rate of one command share one tilt.
         """
         last = self._last_jump
         if last is not None and last[0] == zeta:
             return last[1]
-        jump = StochasticMatrix(_scatter(self.base, self.jump_values_at(zeta)))
-        self._last_jump = (zeta, jump)
-        return jump
+        values = _tilt_at_h(self.support, self.space, self.h_at(zeta))
+        values.setflags(write=False)
+        self._last_jump = (zeta, values)
+        return values
+
+    def jump_kernel_at(self, zeta: float) -> StochasticMatrix:
+        """Tilted kernel before any lazy composition."""
+        return StochasticMatrix(_scatter(self.support, self.jump_values_at(zeta)))
+
+    def step_values_at(self, zeta: float) -> np.ndarray:
+        """Per-step kernel at a command on ``step_support``: one value per nonzero.
+
+        (1 - rate) on the diagonal plus rate times the jump values, formed
+        term by term as :func:`geometric_mix` forms the dense kernel.
+        """
+        step, rate = self.step_support, self.structure.sampling_rate
+        jump = np.zeros(step.rows.size)
+        jump[self._jump_slots] = self.jump_values_at(zeta)
+        return (1.0 - rate) * (step.rows == step.cols) + rate * jump
 
     def kernel_at(self, zeta: float) -> StochasticMatrix:
-        """Per-step kernel actually run by each load."""
-        return geometric_mix(self.jump_kernel_at(zeta), self.structure.sampling_rate)
+        """Per-step kernel actually run by each load: ``step_values_at`` scattered."""
+        return StochasticMatrix(_scatter(self.step_support, self.step_values_at(zeta)))
 
     def pi_at(self, zeta: float) -> Pmf:
         """Invariant pmf of the per-step kernel, residual and sign checked."""
@@ -605,7 +622,7 @@ def solve_design_ode(base: StochasticMatrix, space: LoadStateSpace, kind: str,
         raise ValidationError(f"design ODE kind must be one of {ODE_KINDS}")
     zeta_grid = _command_grid(zeta_max, step)
     if structure is None:
-        structure = FamilyStructure(has_exogenous=space.n_exo > 1)
+        structure = FamilyStructure()
     if not base.is_square or base.dim != space.dim:
         raise ValidationError("base kernel does not match the state space")
     if not check_irreducible_aperiodic(base).irreducible:
@@ -621,7 +638,8 @@ def solve_design_ode(base: StochasticMatrix, space: LoadStateSpace, kind: str,
     util = as_values(space.util, space.dim)
 
     def rate(h):
-        return _design_rate(kind, _scatter(base, _tilt_at_h(base.nonzeros, space, h)),
+        support = base.nonzeros
+        return _design_rate(kind, _scatter(support, _tilt_at_h(support, space, h)),
                             util, space.anchor)
 
     if kind == "spd":
@@ -674,7 +692,7 @@ def build_exponential_family(base: StochasticMatrix, space: LoadStateSpace,
         raise ValidationError(f"exponential family kind must be one of {GENERATOR_KINDS}")
     zeta_grid = _command_grid(zeta_max, step)
     if structure is None:
-        structure = FamilyStructure(has_exogenous=space.n_exo > 1)
+        structure = FamilyStructure()
     if kind == "custom":
         if generator is None:
             raise ValidationError("custom family needs an explicit generator")
@@ -700,8 +718,7 @@ def geometric_compose(family: DesignFamily, gamma: float) -> DesignFamily:
     """
     if family.structure.sampling != "direct":
         raise ValidationError("family is already composed with a sampling rate")
-    structure = FamilyStructure(sampling="composed", gamma=gamma,
-                                has_exogenous=family.structure.has_exogenous)
+    structure = FamilyStructure(sampling="composed", gamma=gamma)
     return DesignFamily(
         family.space, family.base, family.kind, structure,
         family.zeta_grid, family.h_grid, generator=family.generator,

@@ -131,8 +131,8 @@ class LinearModel:
 def linearize(family, zeta: float) -> LinearModel:
     """Linear response model of a design family at one command value.
 
-    The family keeps the last command's jump kernel, so the per-step kernel,
-    the invariant pmf and the design rate below share one tilt.
+    The family keeps the last command's jump values, so the kernels, the
+    invariant pmf and the design rate below share one tilt.
     """
     rate = family.structure.sampling_rate
     jump = family.jump_kernel_at(zeta)

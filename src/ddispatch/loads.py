@@ -215,12 +215,10 @@ def synthesis_inputs(model: LoadModel, route: str):
     kernel as a lazy mix; ``"direct"`` designs on the per-step kernel
     itself, treating the sampling mechanism as part of the nominal model.
     """
-    has_exo = model.space.n_exo > 1
     if route == "compose":
-        return model.s0, FamilyStructure(sampling="composed", gamma=model.gamma,
-                                         has_exogenous=has_exo)
+        return model.s0, FamilyStructure(sampling="composed", gamma=model.gamma)
     if route == "direct":
-        return model.p0, FamilyStructure(sampling="direct", has_exogenous=has_exo)
+        return model.p0, FamilyStructure(sampling="direct")
     raise ValidationError(f"unknown synthesis route {route!r}")
 
 

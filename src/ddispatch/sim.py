@@ -5,10 +5,10 @@ The distribution recursion propagates a pmf through the per-step kernel at
 the broadcast command without forming it: the pmf is pushed through the
 nonzeros of the tilted jump kernel, O(nnz) a step, and mixed with itself at
 the sampling rate.  A fleet advances N independent agents through the rows
-of the dense per-step kernel, each agent searching only its row's nonzero
-columns.  The tracking harness wraps either plant in a simple
-saturated controller whose default gains come from the DC gain of the
-command-to-power linearization.
+of the per-step kernel read on its nonzeros, each agent searching only its
+row's nonzero columns.  Neither plant builds a d x d kernel.  The tracking
+harness wraps either plant in a simple saturated controller whose default
+gains come from the DC gain of the command-to-power linearization.
 """
 
 from __future__ import annotations
@@ -213,46 +213,44 @@ def fleet_init(family, n: int, seed: int, mu0: Pmf | None = None):
 def fleet_step(state: FleetState, zeta: float, family, rng) -> tuple[FleetState, float]:
     """Advance every agent one step through its kernel row.
 
-    Each agent consumes exactly one uniform draw (inverse-transform through
-    the row's cumulative sums), so trajectories are bitwise reproducible
-    for a given stream and N = 1 reduces to a textbook chain sampler.
-    Returns the new fleet and its average power.
+    Each agent consumes exactly one uniform draw (inverse transform through
+    its row's cumulative sums on ``family.step_support``), so trajectories
+    are bitwise reproducible for a given stream and N = 1 reduces to a
+    textbook chain sampler.  Returns the new fleet and its average power.
     """
-    p = family.kernel_at(zeta)
-    cum = np.cumsum(p.entries, axis=1)
+    values = family.step_values_at(zeta)
     u = rng.random(state.n)
-    nxt = _inverse_transform(cum, p.nonzeros, state.states, u)
+    nxt = _inverse_transform(values, family.step_support, state.states, u)
     out = FleetState(nxt)
     util = as_values(family.space.util, family.space.dim)
     return out, float(util[nxt].mean())
 
 
-def _inverse_transform(cum: np.ndarray, support: Nonzeros, rows: np.ndarray,
+def _inverse_transform(values: np.ndarray, support: Nonzeros, rows: np.ndarray,
                        u: np.ndarray) -> np.ndarray:
-    """Per agent, the count of entries of its row of ``cum`` below its ``u``,
+    """Per agent, the count of its row's cumulative sums below its ``u``,
     capped at d - 1 so dust in the row sum cannot leave the state space.
 
-    Rows of ``cum`` are cumulative sums of the kernel whose nonzeros are
-    ``support``, so they are nondecreasing and rise only at those columns.
-    For u > 0 the count is therefore the first such column whose sum
-    reaches u, or d - 1 when none does.  Each row keeps only those columns,
-    padded with +inf (read as column d - 1) to a power-of-two width above
-    the longest row, and a branch-free binary search counts the entries
-    below u: ceil(log2(k + 1)) gathers of N entries for k the most nonzeros
-    in a row, plus one to read the column, instead of ceil(log2 d) gathers.
-    A draw u = 0.0 is below no entry, so it lands in column 0 even where
-    that column holds no mass.
+    ``values`` holds a kernel at its nonzeros ``support``, so a row's sums
+    rise only at those columns, and for u > 0 the count is the first such
+    column whose sum reaches u, or d - 1 when none does.  Each row keeps its
+    values, padded with +inf (read as column d - 1) to a power-of-two width
+    above the longest row, and is summed in place: bitwise the dense row's
+    sums, which only add zeros between them.  A branch-free binary search
+    counts the sums below u in ceil(log2(k + 1)) gathers of N entries, for k
+    the most nonzeros in a row, plus one to read the column.  A draw u = 0.0
+    is below no sum, so it lands in column 0 even where that has no mass.
     """
-    d = cum.shape[1]
+    d = support.starts.size
     r, c = support.rows, support.cols
     counts = np.bincount(r, minlength=d)
     width = 1 << int(counts.max()).bit_length()
     slot = np.arange(r.size) - support.starts[r]
     table = np.full((d, width), np.inf)
-    table[r, slot] = cum[r, c]
+    table[r, slot] = values
     columns = np.full((d, width), d - 1)
     columns[r, slot] = c
-    flat = table.ravel()
+    flat = np.cumsum(table, axis=1).ravel()
     pos = rows * width
     step = width >> 1
     while step:

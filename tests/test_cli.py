@@ -337,6 +337,13 @@ class TestAnalyze:
         assert run(["analyze", "--family", workdir["family"], "--zeta", "0",
                     "--sample-period", period, "--out", tmp_path / "b.csv"]) == 2
 
+    @pytest.mark.parametrize("zetas", [["nan"], ["inf"], ["0", "inf"]],
+                             ids=["nan", "inf", "0_inf"])
+    def test_zeta_must_be_finite(self, workdir, tmp_path, capsys, zetas):
+        assert run(["analyze", "--family", workdir["family"], "--zeta", *zetas,
+                    "--out", tmp_path / "b.csv"]) == 2
+        assert "argument --zeta: must be finite" in capsys.readouterr().err
+
     def test_zeta_required(self, workdir, tmp_path):
         assert run(["analyze", "--family", workdir["family"],
                     "--out", tmp_path / "b.csv"]) == 2
@@ -371,8 +378,6 @@ class TestAnalyze:
         ("space", "anchor", 1.5),
         ("space", "anchor", True),
         ("space", "n_control", 4.5),
-        ("structure", "has_exogenous", "no"),
-        ("structure", "has_exogenous", 0),
         ("structure", "gamma", True),
         ("h_grid", 1, [0.0, True, 0.0, 0.0]),
         ("zeta_grid", 0, "-0.8"),
@@ -380,7 +385,7 @@ class TestAnalyze:
         ("space", "util", [0.5, 1.0, 1.5, "2.0"]),
         ("space", "util_units", [3]),
     ], ids=["anchor_fractional", "anchor_true", "n_control_fractional",
-            "has_exogenous_text", "has_exogenous_number", "gamma_true",
+            "gamma_true",
             "h_grid_true", "zeta_grid_entry_text", "zeta_grid_last_nan",
             "util_entry_text", "util_units_list"])
     def test_malformed_nested_family_field(self, workdir, tmp_path, capsys,

@@ -43,6 +43,7 @@ from ddispatch.markov import (
     invariant_pmf,
     relative_entropy_rate,
 )
+from ddispatch.sim import FleetState, fleet_step
 
 from conftest import cycle_chain, random_chain, sparse_random_chain, two_state
 
@@ -285,7 +286,10 @@ class TestSupportTilt:
         space = simple_space([0.0, 1.0])
         fam = build_exponential_family(base, space, "custom", 1.0, step=1.0,
                                        generator=[0.0, 800.0])
-        for use in (fam.jump_values_at, fam.jump_kernel_at, fam.kernel_at, fam.pi_at):
+        fleet = FleetState([0, 1])
+        for use in (fam.jump_values_at, fam.jump_kernel_at, fam.step_values_at,
+                    fam.kernel_at, fam.pi_at,
+                    lambda z: fleet_step(fleet, z, fam, np.random.default_rng(0))):
             with pytest.raises(NonFinite):
                 use(1.0)
         fam.jump_kernel_at(0.0)
@@ -531,7 +535,6 @@ class TestFamilyContainer:
         base = two_state(0.3, 0.4)
         fam = build_exponential_family(base, simple_space([2.0, 2.0]),
                                        "myopic", 1.0)
-        assert fam.trivial
         assert np.abs(fam.kernel_at(1.0).entries - base.entries).max() <= 1e-12
 
     def test_sampling_rate_profile_at_zero(self):

@@ -171,7 +171,6 @@ class TestPoolModel:
         assert base is pool.s0
         assert structure.sampling == "composed"
         assert structure.gamma == pool.gamma
-        assert not structure.has_exogenous
         base, structure = synthesis_inputs(pool, "direct")
         assert base is pool.p0
         assert structure.sampling == "direct"
@@ -381,7 +380,6 @@ class TestTclModel:
     def test_synthesis_route_compose(self, tcl):
         base, structure = synthesis_inputs(tcl, "compose")
         assert base is tcl.s0
-        assert structure.has_exogenous
         assert structure.gamma == pytest.approx(1.0 / 3.0)
 
     def test_foreign_document_rejected(self, tcl):

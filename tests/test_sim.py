@@ -9,7 +9,8 @@ from ddispatch import design, markov
 from ddispatch.design import (DesignFamily, LoadStateSpace, build_exponential_family,
                               geometric_compose, solve_design_ode)
 from ddispatch.linearize import dc_gain, linearize, transfer_eval
-from ddispatch.markov import Pmf, StateFunction, StochasticMatrix, invariant_pmf
+from ddispatch.markov import (Pmf, StateFunction, StochasticMatrix, geometric_mix,
+                              invariant_pmf)
 from ddispatch.sim import (
     FleetState,
     SignalSet,
@@ -97,6 +98,14 @@ class TestMeanfieldStep:
                 assert np.abs(out.weights - want).max() <= 1e-15
                 assert y == pytest.approx(want @ util, rel=1e-14, abs=1e-15)
 
+    def test_kernel_is_the_lazy_mix_of_the_jump_kernel(self, fam):
+        # the per-step kernel read off its nonzeros is bitwise the dense mix
+        for family in self._families(fam):
+            rate = family.structure.sampling_rate
+            for zeta in (-0.7, -0.13, 0.0, 0.45, 1.0):
+                want = geometric_mix(family.jump_kernel_at(zeta), rate).entries
+                assert family.kernel_at(zeta).entries.tobytes() == want.tobytes()
+
     def test_underflowing_tilt_rejected(self, fam):
         h_grid = fam.h_grid.copy()
         h_grid[-1, 1] = 800.0  # the tilt loses entries at the last command
@@ -112,9 +121,12 @@ class TestMeanfieldStep:
         monkeypatch.setattr(markov, name, -1.0)  # no sum can pass
         with pytest.raises(ValidationError):
             meanfield_step(mu, 0.3, fam)
+        if name == "ROW_SUM_TOL":  # a fleet step builds no pmf, but it tilts
+            with pytest.raises(ValidationError):
+                fleet_step(FleetState([0, 1]), 0.3, fam, np.random.default_rng(0))
 
     def test_rollout_builds_no_kernel(self, fam, monkeypatch):
-        # steps run on the base's nonzeros: no d x d kernel, none validated
+        # both plants step on the kernels' nonzeros: no d x d kernel, none validated
         counts = {"kernel_at": 0, "matrices": 0}
         kernel_at = DesignFamily.kernel_at
         post_init = StochasticMatrix.__post_init__
@@ -131,9 +143,10 @@ class TestMeanfieldStep:
         zetas = 0.8 * np.sin(0.05 * np.arange(200))
         monkeypatch.setattr(DesignFamily, "kernel_at", counted_kernel_at)
         monkeypatch.setattr(StochasticMatrix, "__post_init__", counted_post_init)
-        y, _ = meanfield_rollout(fam, zetas, mu0=mu0)
+        y_mf, _ = meanfield_rollout(fam, zetas, mu0=mu0)
+        y_fleet, _ = fleet_rollout(fam, zetas, n=500, seed=1, mu0=mu0)
         assert counts == {"kernel_at": 0, "matrices": 0}
-        assert np.all(np.isfinite(y))
+        assert np.all(np.isfinite(y_mf)) and np.all(np.isfinite(y_fleet))
         fam.kernel_at(0.5)  # the counters do count
         assert counts["kernel_at"] == 1 and counts["matrices"] >= 1
 
@@ -198,8 +211,9 @@ class TestFleet:
     def _step_with_draws(p, states, u):
         """fleet_step on kernel ``p`` with the uniform draws ``u`` imposed."""
         d = p.shape[0]
+        support = StochasticMatrix(p).nonzeros
         family = SimpleNamespace(
-            kernel_at=lambda zeta: StochasticMatrix(p),
+            step_support=support, step_values_at=lambda zeta: support.values,
             space=SimpleNamespace(dim=d, util=StateFunction(np.arange(d) + 1.0)))
         draws = SimpleNamespace(random=lambda n: u[:n])
         out, y = fleet_step(FleetState(states), 0.0, family, draws)
@@ -211,6 +225,29 @@ class TestFleet:
         cum = np.cumsum(p, axis=1)
         nxt = (cum[states] < u[:, None]).sum(axis=1)
         return np.minimum(nxt, p.shape[0] - 1)
+
+    def test_draws_match_dense_kernel(self, fam):
+        # direct, composed, exogenous and composed exogenous families, with
+        # draws on a cumsum entry, just either side of one, and at both ends
+        # of [0, 1): one ulp off in a sum moves some draw
+        rng = np.random.default_rng(9)
+        for family in TestMeanfieldStep._families(fam):
+            d = family.space.dim
+            util = family.space.util.values
+            state, _ = fleet_init(family, 1000, seed=2)
+            for zeta in (-0.7, -0.13, 0.0, 0.45, 1.0):
+                p = family.kernel_at(zeta).entries
+                s = state.states
+                u = rng.random(s.size)
+                on = np.cumsum(p, axis=1)[s, rng.integers(0, d, s.size)]
+                u[::4], u[1::4] = on[::4], np.nextafter(on[1::4], 1.0)
+                u[2::4] = np.nextafter(on[2::4], 0.0)
+                u[3:5] = [0.0, np.nextafter(1.0, 0.0)]
+                draws = SimpleNamespace(random=lambda n: u[:n])
+                state, y = fleet_step(state, zeta, family, draws)
+                expect = self._compare_nxd(p, s, u)
+                assert np.array_equal(state.states, expect)
+                assert y == float(util[expect].mean())
 
     @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 96])
     def test_row_search_matches_broadcast_compare(self, d):
