@@ -45,12 +45,16 @@ from .fileio import (FORMAT_VERSION, document, field, finite, integer,
 from .markov import (
     Nonzeros,
     Pmf,
+    Schedule,
     StateFunction,
     StochasticMatrix,
     _check_row_sums,
     _checked_invariant_raw,
+    _gth,
+    _lu_invariant,
     _poisson_raw,
     _reversal_raw,
+    _schedule,
     adjoint_product,
     as_values,
     check_irreducible_aperiodic,
@@ -81,6 +85,9 @@ __all__ = [
 
 #: snap-to-grid tolerance for command values, in grid steps
 _GRID_SNAP = 1e-7
+
+#: grid points tilted and solved together by ``DesignFamily.ubars``
+GRID_BLOCK = 64
 
 ODE_KINDS = ("ipd", "spd")
 GENERATOR_KINDS = ("myopic", "ipd0", "custom")
@@ -210,16 +217,19 @@ def _log_normalizer_raw(support: Nonzeros, pair: np.ndarray):
     """Row-wise log of sum_x' base(x,x') exp(pair(x,x')) plus the shifted weights.
 
     ``base`` is the kernel ``support`` was read from and ``pair`` holds the
-    pair function at its nonzeros, in the same order.  Returns (weights,
-    row_sums, log_norm) where weights = base * exp(pair - m), on the support,
-    with m the per-row maximum of pair.  The shift keeps the exponentials in
-    [0, 1], so overflow is impossible for finite pair values.
+    pair function at its nonzeros, in the same order, with one column per
+    pair function if there are several.  Returns (weights, row_sums,
+    log_norm) where weights = base * exp(pair - m), on the support, with m
+    the per-row maximum of pair.  The shift keeps the exponentials in
+    [0, 1], so overflow is impossible for finite pair values.  A column is
+    reduced in the same order whether it comes alone or in a batch.
     """
     if not np.isfinite(pair).all():
         raise NonFinite("tilt pair function is not finite on the support")
-    m = np.maximum.reduceat(pair, support.starts)
-    weights = support.values * np.exp(pair - m[support.rows])
-    rows = np.add.reduceat(weights, support.starts)
+    m = np.maximum.reduceat(pair, support.starts, axis=0)
+    base = support.values if pair.ndim == 1 else support.values[:, None]
+    weights = base * np.exp(pair - m[support.rows])
+    rows = np.add.reduceat(weights, support.starts, axis=0)
     if not (rows > 0.0).all():
         raise NonFinite("tilt underflowed: a row lost all of its mass")
     return weights, rows, m + np.log(rows)
@@ -235,13 +245,18 @@ def _tilt_raw(support: Nonzeros, pair: np.ndarray):
     tilted = weights / rows[support.rows]
     if not tilted.all():  # entries are >= 0, so no zero means all positive
         raise NonFinite("tilt underflowed: support of the tilted kernel shrank")
-    _check_row_sums(np.add.reduceat(tilted, support.starts))
+    _check_row_sums(np.add.reduceat(tilted, support.starts, axis=0))
     return tilted, log_norm
 
 
 def _tilt_at_h(support: Nonzeros, space: LoadStateSpace, h) -> np.ndarray:
-    """Nonzeros of the base tilted by the lift of the design function ``h``."""
-    tilted, _ = _tilt_raw(support, _lift_on_support(space, support, h))
+    """Nonzeros of the base tilted by the lift of the design function ``h``;
+    for a stack of design functions (one per row), one column per function."""
+    if np.ndim(h) == 2:  # lifted one by one: each column is bitwise the single lift
+        pair = np.stack([_lift_on_support(space, support, row) for row in h], axis=1)
+    else:
+        pair = _lift_on_support(space, support, h)
+    tilted, _ = _tilt_raw(support, pair)
     return tilted
 
 
@@ -303,10 +318,11 @@ def _design_rate(kind: str, p_arr: np.ndarray, util: np.ndarray,
 
     The system-perspective rule is the individual one applied to the
     doubled kernel P-dagger P.  Only the time reversal needs the invariant
-    pmf of P; the Poisson solve needs none.
+    pmf of P, solved by LU: per kernel that is about ten times faster than
+    GTH on a batch of one; the Poisson solve needs none.
     """
     if kind == "spd":
-        p_arr = _reversal_raw(p_arr, _checked_invariant_raw(p_arr)) @ p_arr
+        p_arr = _reversal_raw(p_arr, _checked_invariant_raw(_lu_invariant(p_arr))) @ p_arr
     return _poisson_raw(p_arr, util, anchor)
 
 
@@ -364,8 +380,10 @@ class DesignFamily:
     demand by tilting the stored base on its nonzeros, ``support``.
     Construction checks the grid and, once, the connectivity of the
     untilted per-step kernel; the tilt and invariant pmf at a command are
-    computed and checked only when that command is used.  ``ubars`` gives
-    the mean output over the whole grid.  Command values between grid
+    computed and checked only when that command is used.  Invariant pmfs
+    are solved by GTH on ``schedule``, one elimination plan for every
+    command.  ``ubars`` gives the mean output over the whole grid, solved
+    GRID_BLOCK points at a time.  Command values between grid
     points use linear interpolation of h; values beyond the grid ends raise
     :class:`OutOfGrid`.
     """
@@ -441,9 +459,30 @@ class DesignFamily:
         return np.searchsorted(step.rows * d + step.cols, jump.rows * d + jump.cols)
 
     @functools.cached_property
+    def schedule(self) -> Schedule:
+        """Elimination schedule of ``step_support``, which every command's
+        per-step kernel shares."""
+        step, d = self.step_support, self.space.dim
+        mask = np.zeros((d, d), dtype=bool)
+        mask[step.rows, step.cols] = True
+        return _schedule(mask)
+
+    @functools.cached_property
     def ubars(self) -> np.ndarray:
-        """Mean output at every grid point (every point's pmf checked)."""
-        ubars = np.array([self.ubar_at(zeta) for zeta in self.zeta_grid])
+        """Mean output at every grid point (every point's pmf checked).
+
+        Bitwise ``[self.ubar_at(z) for z in self.zeta_grid]``: the grid is
+        tilted and solved in blocks, each point in the order ``pi_at`` uses.
+        """
+        util = as_values(self.space.util)
+        ubars = np.empty(len(self.zeta_grid))
+        for lo in range(0, len(ubars), GRID_BLOCK):
+            hs = self.h_grid[lo:lo + GRID_BLOCK]
+            values = self._step_values(_tilt_at_h(self.support, self.space, hs))
+            solves = _gth(self.schedule, self.step_support, values)
+            for i, solve in enumerate(solves, lo):
+                where = f" at command {self.zeta_grid[i]:g}"
+                ubars[i] = Pmf(_checked_invariant_raw(solve, where)).mean(util)
         ubars.setflags(write=False)
         return ubars
 
@@ -496,24 +535,29 @@ class DesignFamily:
         return StochasticMatrix(_scatter(self.support, self.jump_values_at(zeta)))
 
     def step_values_at(self, zeta: float) -> np.ndarray:
-        """Per-step kernel at a command on ``step_support``: one value per nonzero.
+        """Per-step kernel at a command on ``step_support``: one value per nonzero."""
+        return self._step_values(self.jump_values_at(zeta))
 
-        (1 - rate) on the diagonal plus rate times the jump values, formed
-        term by term as :func:`geometric_mix` forms the dense kernel.
-        """
+    def _step_values(self, jump: np.ndarray) -> np.ndarray:
+        """Per-step kernels on ``step_support`` from jump kernels on ``support``
+        (one per column, if several): (1 - rate) on the diagonal plus rate
+        times the jump values, formed term by term as :func:`geometric_mix`
+        forms the dense kernel."""
         step, rate = self.step_support, self.structure.sampling_rate
-        jump = np.zeros(step.rows.size)
-        jump[self._jump_slots] = self.jump_values_at(zeta)
-        return (1.0 - rate) * (step.rows == step.cols) + rate * jump
+        full = np.zeros((step.rows.size,) + jump.shape[1:])
+        full[self._jump_slots] = jump
+        diag = (step.rows == step.cols).reshape((-1,) + (1,) * (jump.ndim - 1))
+        return (1.0 - rate) * diag + rate * full
 
     def kernel_at(self, zeta: float) -> StochasticMatrix:
         """Per-step kernel actually run by each load: ``step_values_at`` scattered."""
         return StochasticMatrix(_scatter(self.step_support, self.step_values_at(zeta)))
 
     def pi_at(self, zeta: float) -> Pmf:
-        """Invariant pmf of the per-step kernel, residual and sign checked."""
-        return Pmf(_checked_invariant_raw(self.kernel_at(zeta).entries,
-                                          f" at command {zeta:g}"))
+        """Invariant pmf of the per-step kernel, by GTH: accurate entrywise,
+        with its residual and sign checked.  No d x d kernel is built."""
+        solve, = _gth(self.schedule, self.step_support, self.step_values_at(zeta)[:, None])
+        return Pmf(_checked_invariant_raw(solve, f" at command {zeta:g}"))
 
     def ubar_at(self, zeta: float) -> float:
         """Mean output under the invariant pmf at this command value."""
@@ -523,7 +567,8 @@ class DesignFamily:
         """Derivative of the design function in the command, d h / d zeta."""
         if self.kind in GENERATOR_KINDS:
             return self.generator.copy()
-        return _design_rate(self.kind, self.jump_kernel_at(zeta).entries,
+        # the tilt checked these values already; no kernel is validated again
+        return _design_rate(self.kind, _scatter(self.support, self.jump_values_at(zeta)),
                             as_values(self.space.util), self.space.anchor)
 
     def pair_rate_at(self, zeta: float) -> np.ndarray:

@@ -41,7 +41,9 @@ def atomic_write_text(path, text: str):
 
 
 def write_json(path, doc: dict):
-    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True))
+    """Write ``doc`` as compact JSON with sorted keys (no indent, which
+    would force the pure-Python encoder: twice as slow on a family)."""
+    atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
 def read_json(path):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,43 +221,67 @@ def fleet_step(state: FleetState, zeta: float, family, rng) -> tuple[FleetState,
     """
     values = family.step_values_at(zeta)
     u = rng.random(state.n)
-    nxt = _inverse_transform(values, family.step_support, state.states, u)
+    nxt = _inverse_transform(values, _row_layout(family.step_support), state.states, u)
     out = FleetState(nxt)
     util = as_values(family.space.util, family.space.dim)
     return out, float(util[nxt].mean())
 
 
-def _inverse_transform(values: np.ndarray, support: Nonzeros, rows: np.ndarray,
+class _RowLayout(NamedTuple):
+    """Nonzeros laid out row by row in a table ``width`` entries wide, the
+    least power of two above the longest row.  Nonzero k sits at
+    ``slots[k]`` of the flattened table; ``columns`` holds the column of
+    every table entry, d - 1 on the padding."""
+
+    width: int
+    slots: np.ndarray
+    columns: np.ndarray
+
+
+#: the last support laid out and its layout: a rollout steps one family, so
+#: its layout is built once; a race between threads at worst rebuilds it
+_last_layout: tuple[Nonzeros, _RowLayout] | None = None
+
+
+def _row_layout(support: Nonzeros) -> _RowLayout:
+    """:class:`_RowLayout` of the nonzeros ``support``, kept for the next call."""
+    global _last_layout
+    last = _last_layout
+    if last is None or last[0] is not support:
+        d, r = support.starts.size, support.rows
+        width = 1 << int(np.bincount(r, minlength=d).max()).bit_length()
+        slots = r * width + (np.arange(r.size) - support.starts[r])
+        columns = np.full(d * width, d - 1)
+        columns[slots] = support.cols
+        last = _last_layout = (support, _RowLayout(width, slots, columns))
+    return last[1]
+
+
+def _inverse_transform(values: np.ndarray, layout: _RowLayout, rows: np.ndarray,
                        u: np.ndarray) -> np.ndarray:
     """Per agent, the count of its row's cumulative sums below its ``u``,
     capped at d - 1 so dust in the row sum cannot leave the state space.
 
-    ``values`` holds a kernel at its nonzeros ``support``, so a row's sums
-    rise only at those columns, and for u > 0 the count is the first such
-    column whose sum reaches u, or d - 1 when none does.  Each row keeps its
-    values, padded with +inf (read as column d - 1) to a power-of-two width
-    above the longest row, and is summed in place: bitwise the dense row's
-    sums, which only add zeros between them.  A branch-free binary search
-    counts the sums below u in ceil(log2(k + 1)) gathers of N entries, for k
-    the most nonzeros in a row, plus one to read the column.  A draw u = 0.0
-    is below no sum, so it lands in column 0 even where that has no mass.
+    ``values`` holds a kernel at the nonzeros ``layout`` lays out, so a
+    row's sums rise only at those columns, and for u > 0 the count is the
+    first such column whose sum reaches u, or d - 1 when none does.  Each
+    row keeps its values, padded with +inf (read as column d - 1), and is
+    summed in place: bitwise the dense row's sums, which only add zeros
+    between them.  A branch-free binary search counts the sums below u in
+    ceil(log2(k + 1)) gathers of N entries, for k the most nonzeros in a
+    row, plus one to read the column.  A draw u = 0.0 is below no sum, so
+    it lands in column 0 even where that has no mass.
     """
-    d = support.starts.size
-    r, c = support.rows, support.cols
-    counts = np.bincount(r, minlength=d)
-    width = 1 << int(counts.max()).bit_length()
-    slot = np.arange(r.size) - support.starts[r]
-    table = np.full((d, width), np.inf)
-    table[r, slot] = values
-    columns = np.full((d, width), d - 1)
-    columns[r, slot] = c
-    flat = np.cumsum(table, axis=1).ravel()
+    width = layout.width
+    table = np.full(layout.columns.size, np.inf)
+    table[layout.slots] = values
+    flat = np.cumsum(table.reshape(-1, width), axis=1).ravel()
     pos = rows * width
     step = width >> 1
     while step:
-        pos += step * (flat[pos + (step - 1)] < u)
+        pos += step * (flat.take(pos + (step - 1)) < u)
         step >>= 1
-    nxt = columns.ravel()[pos]
+    nxt = layout.columns.take(pos)
     nxt[u == 0.0] = 0
     return nxt
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ddispatch import design as design_module
 from ddispatch import markov
 from ddispatch.design import (
     DesignFamily,
@@ -595,6 +596,19 @@ class TestOneFactorization:
         assert calls == [1]
 
 
+def count_pmf_solves(monkeypatch):
+    """Record the batch width of every GTH pmf solve a family makes."""
+    widths = []
+    gth = design_module._gth
+
+    def counting(schedule, support, values):
+        widths.append(values.shape[1])
+        return gth(schedule, support, values)
+
+    monkeypatch.setattr(design_module, "_gth", counting)
+    return widths
+
+
 class TestPmfsOnDemand:
     def test_load_solves_nothing(self, tmp_path, monkeypatch):
         fam = build_exponential_family(random_chain(np.random.default_rng(3), 4),
@@ -603,10 +617,11 @@ class TestPmfsOnDemand:
         assert fam.zeta_grid.size == 601
         save_family(fam, tmp_path / "family.json")
         calls = count_solves(monkeypatch)
+        pmfs = count_pmf_solves(monkeypatch)
         back = load_family(tmp_path / "family.json")
-        assert len(calls) == 0
+        assert len(calls) == 0 and pmfs == []
         back.pi_at(1.5)
-        assert len(calls) == 1
+        assert len(calls) == 0 and pmfs == [1]  # one pmf evaluation, no LU
 
     def test_ubars_is_ubar_at_over_the_grid(self, monkeypatch):
         fam = ode_family(zeta_max=0.5)
@@ -616,6 +631,79 @@ class TestPmfsOnDemand:
         calls = count_solves(monkeypatch)
         assert fam.ubars is got
         assert len(calls) == 0
+
+
+def dense_gth(p):
+    """Invariant pmf of a dense kernel by GTH, eliminating states 0, 1, ... in turn."""
+    a = np.array(p, dtype=float)
+    d = len(a)
+    for k in range(d - 1):
+        a[k + 1:, k] /= a[k, k + 1:].sum()
+        a[k + 1:, k + 1:] += np.outer(a[k + 1:, k], a[k, k + 1:])
+    x = np.zeros(d)
+    x[-1] = 1.0
+    for k in range(d - 2, -1, -1):
+        x[k] = x[k + 1:] @ a[k + 1:, k]
+    return x / x.sum()
+
+
+@pytest.fixture(scope="module")
+def raw_pool_family():
+    """Pool ipd family at raw utility scale: pmfs reach 9e-62 at commands +-3."""
+    model = build_pool_model(PoolModelSpec())
+    base, structure = synthesis_inputs(model, "compose")
+    return solve_design_ode(base, model.space, "ipd", 3.0, step=0.01,
+                            structure=structure)
+
+
+class TestGthPmfs:
+    def test_batched_gth_matches_lu(self, raw_pool_family):
+        fam = raw_pool_family
+        zetas = fam.zeta_grid[::20]
+        values = np.stack([fam.step_values_at(z) for z in zetas], axis=1)
+        solves = markov._gth(fam.schedule, fam.step_support, values)
+        assert len(solves) == len(zetas)
+        for zeta, solve in zip(zetas, solves):
+            lu = _invariant_raw(fam.kernel_at(zeta).entries)
+            assert np.abs(solve.weights - lu).sum() <= 1e-14
+            assert solve.residual <= 1e-15
+
+    def test_ubars_is_ubar_at_on_long_rows(self):
+        # rows of 12 nonzeros: sums over more than 8 terms change order with
+        # the batch width unless every reduction fixes it
+        fam = ode_family(chain=random_chain(np.random.default_rng(11), 12),
+                         zeta_max=0.2)
+        want = np.array([fam.ubar_at(z) for z in fam.zeta_grid])
+        assert fam.ubars.tobytes() == want.tobytes()
+
+    def test_nearly_decomposable_chain(self):
+        # leaving a state has probability 1e-13: one minus the self-loop
+        # keeps 3 digits of it, the summed off-diagonal mass all of them
+        a, b = 1e-13, 3e-13
+        chain = StochasticMatrix(np.array([[1.0 - a, a], [b, 1.0 - b]]))
+        fam = build_exponential_family(chain, simple_space([0.0, 1.0]), "myopic",
+                                       0.1, step=0.1)
+        w = fam.pi_at(0.0).weights
+        want = np.array([b, a]) / (a + b)
+        assert (np.abs(w - want) / want).max() <= 1e-14
+
+    def test_ubars_solves_in_blocks(self, raw_pool_family, monkeypatch):
+        fam = DesignFamily(raw_pool_family.space, raw_pool_family.base, "ipd",
+                           raw_pool_family.structure, raw_pool_family.zeta_grid,
+                           raw_pool_family.h_grid)
+        widths = count_pmf_solves(monkeypatch)
+        fam.ubars
+        assert widths == [64] * 9 + [25]
+
+    @pytest.mark.parametrize("zeta", [-3.0, 3.0])
+    def test_raw_scale_pmf_is_entrywise_accurate(self, raw_pool_family, zeta):
+        # LU clips one entry of pi(-3) to 0; GTH keeps every entry to a few
+        # ulps of itself, down to 9e-62
+        w = raw_pool_family.pi_at(zeta).weights
+        want = dense_gth(raw_pool_family.kernel_at(zeta).entries)
+        assert (w < 1e-30).sum() == 25
+        assert w.min() > 0.0
+        assert (np.abs(w - want) / want).max() <= 1e-12
 
 
 class TestComposedFamilies:

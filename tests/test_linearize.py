@@ -27,6 +27,7 @@ from ddispatch.linearize import (
     transfer_eval,
 )
 from ddispatch.loads import PoolModelSpec, build_pool_model, synthesis_inputs
+from ddispatch import markov
 from ddispatch.markov import Pmf, StateFunction, StochasticMatrix, invariant_pmf
 
 from conftest import random_chain, two_state
@@ -468,6 +469,113 @@ class TestTransferSweep:
             positive_real_check(model, theta_count=theta_count)
             counts.append(len(calls))
         assert counts[1] == counts[0]
+
+
+def ladder_chain(rng, d, stay):
+    """Sparse chain: a step up the ladder and one jump back per state, with
+    or without self-loops; its elimination fills little."""
+    m = np.zeros((d, d))
+    for i in range(d):
+        m[i, (i + 1) % d] = rng.uniform(0.2, 1.0)
+        m[i, rng.integers(0, i + 1)] += rng.uniform(0.1, 1.0)
+        if stay:
+            m[i, i] += rng.uniform(0.1, 1.0)
+    if not stay:
+        np.fill_diagonal(m, 0.0)
+    return StochasticMatrix(m / m.sum(axis=1, keepdims=True))
+
+
+def count_paths(monkeypatch):
+    """Record which sweep path each block of angles takes."""
+    paths = []
+    for name in ("_schedule_solve", "_hessenberg_solve"):
+        solve = getattr(linearize_module, name)
+
+        def counted(*args, _solve=solve, _name=name):
+            paths.append(_name)
+            return _solve(*args)
+        monkeypatch.setattr(linearize_module, name, counted)
+    return paths
+
+
+class TestScheduleSweep:
+    @pytest.mark.parametrize("stay", [True, False])
+    def test_sparse_chains_match_oracle(self, stay, monkeypatch):
+        rng = np.random.default_rng(101 if stay else 103)
+        paths = count_paths(monkeypatch)
+        for d in (40, 64):
+            p = ladder_chain(rng, d, stay)
+            assert np.diag(p.entries).all() if stay else not np.diag(p.entries).any()
+            model = chain_model(p, rng)
+            paths.clear()
+            assert_sweep_matches_oracle(model, theta_count=700)
+            assert set(paths) == {"_schedule_solve"} and len(paths) == 2
+
+    def test_psd_near_and_at_the_perron_root(self):
+        # z = 1 and 2 pi go to the dense deflated solve; 1e-9 stays on the
+        # schedule, where the projection along pi keeps the centered part
+        rng = np.random.default_rng(107)
+        for stay in (True, False):
+            model = chain_model(ladder_chain(rng, 40, stay), rng)
+            thetas = np.array([0.0, 1e-9, 0.5, math.pi, 2.0 * math.pi, 7.0])
+            gplus = np.array([transfer_eval(model, cmath.exp(1j * t))[1] for t in thetas])
+            want = model.sigma2 + 2.0 * (gplus.real - model.c @ model.b)
+            got = psd(model, thetas)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert got[0] == want[0] and got[4] == want[4]  # the dense solve itself
+
+    def test_residual_check_raises(self, monkeypatch):
+        model = chain_model(ladder_chain(np.random.default_rng(109), 40, True),
+                            np.random.default_rng(113))
+        paths = count_paths(monkeypatch)
+        monkeypatch.setattr(linearize_module, "SOLVE_TOL", 1e-300)
+        with pytest.raises(NearSingular, match="ill-conditioned at z = "):
+            positive_real_check(model, theta_count=32)
+        assert paths == ["_schedule_solve"]
+
+    def test_path_rule(self, pool_family, monkeypatch):
+        # 475 entries touched per angle on the pool against 4 608 for
+        # Hessenberg; a fully supported chain fills completely
+        paths = count_paths(monkeypatch)
+        positive_real_check(linearize(pool_family, 0.05), theta_count=600)
+        assert paths == ["_schedule_solve"] * 2
+        paths.clear()
+        rng = np.random.default_rng(127)
+        positive_real_check(chain_model(random_chain(rng, 12), rng), theta_count=600)
+        assert paths == ["_hessenberg_solve"] * 5
+
+    def test_row_swaps_on_a_dense_pattern(self, monkeypatch):
+        # a lazy cycle with every other entry at 1e-3: Hessenberg runs, and
+        # its elimination swaps rows
+        p = 0.994 * lazy_cycle(6).entries + 1e-3
+        model = chain_model(StochasticMatrix(p), np.random.default_rng(131))
+        paths = count_paths(monkeypatch)
+        resp = assert_sweep_matches_oracle(model, theta_count=200)
+        assert set(paths) == {"_hessenberg_solve"}
+        assert swaps_needed(model, resp.theta_grid) > 100
+
+    def test_pool_schedule_fill(self, pool_family):
+        step = pool_family.step_support
+        schedule = markov._schedule(pool_family.kernel_at(0.0).entries.T != 0.0)
+        assert schedule.size - step.rows.size <= 47
+        assert schedule.work < 96 * 96 / 2
+
+    def test_linearize_validates_two_kernels(self, pool_family, monkeypatch):
+        # the per-step and jump kernels; the pmf and the design rate read
+        # the tilted values on the support
+        count = []
+        post_init = StochasticMatrix.__post_init__
+
+        def counted(self):
+            count.append(1)
+            post_init(self)
+
+        linearize(pool_family, -0.05)  # the family keeps its step support
+        monkeypatch.setattr(StochasticMatrix, "__post_init__", counted)
+        for zeta in (0.0, 0.05, 0.1):
+            count.clear()
+            linearize(pool_family, zeta)
+            assert len(count) == 2
 
 
 class TestPsd:
