@@ -46,10 +46,11 @@ from .errors import (BadCutoffs, DispatchError, IntegrationDiverged,  # noqa: E4
 from .fileio import (FORMAT_VERSION, boolean, document, field, finite,  # noqa: E402
                      integer, json_object, malformed, numbers, read_json, string,
                      write_json)
-from .linearize import bode_export, linearize, positive_real_check  # noqa: E402
-from .loads import (LoadModel, PoolModelSpec, TclModelSpec,  # noqa: E402
-                    build_pool_model, build_tcl_model, load_model, save_model,
-                    synthesis_inputs, tcl_trajectory, trajectory_to_csv)
+from .linearize import (MIN_THETA_COUNT, bode_export, linearize,  # noqa: E402
+                        positive_real_check)
+from .loads import (MIN_SAMPLES_PER_STATE, LoadModel, PoolModelSpec,  # noqa: E402
+                    TclModelSpec, build_pool_model, build_tcl_model, load_model,
+                    save_model, synthesis_inputs, tcl_trajectory, trajectory_to_csv)
 from .markov import (StateFunction, StochasticMatrix,  # noqa: E402
                      check_irreducible_aperiodic)
 from .sim import (SignalSet, TrackingConfig, fleet_rollout,  # noqa: E402
@@ -69,8 +70,12 @@ def _number(cast, noun: str, low: float = 0.0, what: str = "positive and finite"
     return parse
 
 
+def _count(minimum: int):
+    """Argument type: an integer of at least ``minimum``."""
+    return _number(int, "an integer", minimum - 1, f"an integer of at least {minimum}")
+
+
 _positive_float = _number(float, "a number")
-_positive_int = _number(int, "an integer")
 _finite_float = _number(float, "a number", -np.inf, "finite")
 
 
@@ -87,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="JSON spec file (defaults used if omitted "
                                   "for pool/tcl; required for custom)")
     p.add_argument("--out", required=True, help="output model JSON path")
-    p.add_argument("--samples", type=_positive_int, default=20000,
+    p.add_argument("--samples", type=_count(MIN_SAMPLES_PER_STATE), default=20000,
                    help="Monte Carlo samples per state (tcl only)")
     p.add_argument("--seed", type=int, default=0, help="estimation seed (tcl)")
     p.set_defaults(func=cmd_model)
@@ -114,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="family JSON path")
     p.add_argument("--zeta", type=_finite_float, nargs="+", required=True,
                    help="command values to linearize at")
-    p.add_argument("--theta-count", type=_positive_int, default=2048)
+    p.add_argument("--theta-count", type=_count(MIN_THETA_COUNT), default=2048)
     p.add_argument("--sample-period", type=_positive_float, default=None,
                    help="seconds per step, adds a frequency column")
     p.add_argument("--out", required=True, help="output Bode CSV path")
@@ -321,6 +326,9 @@ class Scenario:
         seed = field(doc, "seed", integer, 0)
         if seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {seed}")
+        period_s = field(doc, "period_s", finite, 1.0)
+        if period_s <= 0.0:
+            raise ValidationError(f"period_s must be positive, got {period_s:g}")
         family = None
         with malformed("scenario"):  # also a steps count too large for an array
             if mode != "trajectory" or "family" in doc:
@@ -330,7 +338,7 @@ class Scenario:
         return cls(mode=mode, family=family, steps=steps, settle=settle, seed=seed,
                    n=field(doc, "n", integer, 1000),
                    zeta=field(doc, "zeta", finite, 0.0),
-                   period_s=field(doc, "period_s", finite, 1.0), plant=plant,
+                   period_s=period_s, plant=plant,
                    reference=reference,
                    controller=_controller(doc.get("controller", {})),
                    tcl=TclModelSpec.from_json(doc.get("tcl", {})))

@@ -48,10 +48,8 @@ SWEEP_BLOCK = 128
 #: angles solved together by the transfer sweep on an elimination schedule
 SCHEDULE_BLOCK = 512
 
-#: points z with |z - 1| at most this are solved densely, with deflation: at
-#: z = 1 the undeflated system is singular, and near it its last pivot is
-#: rounding error (theta = 2 pi gives |z - 1| = 2.4e-16)
-UNIT_TOL = 1e-12
+#: fewest angles a passivity sweep takes: [0, pi] needs both ends
+MIN_THETA_COUNT = 2
 
 #: eigenvalues of A other than the Perron root must have modulus below this
 STABLE_TOL = 1.0 - 1e-9
@@ -205,16 +203,31 @@ def _deflated_solve(model: LinearModel, z: complex) -> np.ndarray:
         v = np.linalg.solve(m, model.b.astype(complex))
     except np.linalg.LinAlgError as exc:
         raise NearSingular(f"transfer evaluation singular at z = {z}") from exc
-    if not np.all(np.isfinite(v.view(float))):
-        raise NearSingular(f"transfer evaluation overflowed at z = {z}")
-    bscale = np.abs(model.b).max()
-    resid = np.abs(m @ v - model.b).max()
-    if resid > SOLVE_TOL * max(bscale, 1e-300):
+    _checked_residuals(model, np.array([z]), v.reshape(d, 1))
+    return v
+
+
+def _checked_residuals(model: LinearModel, zs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """max |(zI - A + pi 1^T) v - B| / max|B| for each column of ``v``, one per z
+    of ``zs``; :class:`NearSingular` at the first non-finite one or one above
+    SOLVE_TOL."""
+    bscale = max(np.abs(model.b).max(), 1e-300)
+    with np.errstate(all="ignore"):
+        resid = np.abs(zs * v - _real_matmul(model.a, v)
+                       + np.outer(model.pi.weights, v.sum(axis=0))
+                       - model.b[:, None]).max(axis=0)
+    finite = np.isfinite(v).all(axis=0)
+    bad = ~finite | ~(resid <= SOLVE_TOL * bscale)
+    if bad.any():
+        i = int(np.argmax(bad))
+        z = complex(zs[i])
+        if not finite[i]:
+            raise NearSingular(f"transfer evaluation overflowed at z = {z}")
         raise NearSingular(
             f"transfer evaluation ill-conditioned at z = {z} "
-            f"(residual {resid:.2e})"
+            f"(residual {resid[i]:.2e})"
         )
-    return v
+    return resid / bscale
 
 
 def transfer_eval(model: LinearModel, z: complex) -> tuple[complex, complex]:
@@ -293,8 +306,8 @@ def positive_real_check(model: LinearModel, theta_count: int = 2048,
     destabilize the grid frequency it is serving.  Each angle passes the
     same residual test as :func:`transfer_eval`.
     """
-    if theta_count < 2:
-        raise ValidationError("theta_count must be at least 2")
+    if theta_count < MIN_THETA_COUNT:
+        raise ValidationError(f"theta_count must be at least {MIN_THETA_COUNT}")
     _check_stable(model)
     thetas = np.linspace(0.0, math.pi, theta_count)
     zs = np.exp(1j * thetas)
@@ -380,20 +393,24 @@ def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def _schedule_solve(schedule: Schedule, model: LinearModel, zs: np.ndarray) -> np.ndarray:
-    """Columns v with (z I - A) v = B, one per z of ``zs`` (all on the unit
-    circle), by one elimination of the batch on ``schedule``, A's pattern.
+    """Columns v with (z I - A + e_a 1^T) v = B, one per z of ``zs`` (all on
+    the unit circle), by one elimination of the batch on ``schedule``: A's
+    pattern bordered at a, the state it eliminates last.
 
-    No pivoting and no deflation: zI - A is column diagonally dominant for
-    |z| = 1, and 1^T B = 0 with 1^T A = 1^T gives 1^T v = 0 for z != 1, so v
-    solves the deflated system too; v - pi (1^T v) removes the roundoff
-    along pi.  Points within UNIT_TOL of 1 go to :func:`_deflated_solve`.
-    A zero pivot leaves non-finite entries for the caller to reject.
+    At z = 1 this is the transpose of I - P + 1 e_a^T, nonsingular for an
+    irreducible P (Kemeny, Linear Algebra Appl. 38, 1981); summing its rows
+    gives z 1^T v = 1^T B = 0, so v solves the deflated system too.  The
+    pivots before a's are those of zI - A, column diagonally dominant.  The
+    border's multipliers grow like 1 / (1 - P(x, x)), and their roundoff
+    moves v along (zI - A + e_a 1^T)^-1 e_a = pi (at z = 1), which
+    v - pi (1^T v) removes.  A zero pivot leaves non-finite entries.
     """
     a, count = model.a, len(zs)
     rows, cols = np.nonzero(a)
     vals = np.zeros((schedule.size, count), dtype=complex)
     vals[schedule.slots[rows, cols]] = -a[rows, cols, None]
     vals[schedule.slots.diagonal()] += zs
+    vals[schedule.slots[schedule.pivots[-1].state]] += 1.0
     v = np.repeat(model.b.astype(complex)[:, None], count, axis=1)
     for p in schedule.pivots:
         lower = vals[p.lower] / vals[p.diag]
@@ -403,8 +420,6 @@ def _schedule_solve(schedule: Schedule, model: LinearModel, zs: np.ndarray) -> n
         done = (vals[p.upper] * v[p.upper_cols]).sum(axis=0)
         v[p.state] = (v[p.state] - done) / vals[p.diag]
     v -= np.outer(model.pi.weights, v.sum(axis=0))
-    for i in np.flatnonzero(np.abs(zs - 1.0) <= UNIT_TOL):
-        v[:, i] = _deflated_solve(model, complex(zs[i]))
     return v
 
 
@@ -412,24 +427,23 @@ def _transfer_sweep(model: LinearModel, zs: np.ndarray) -> tuple[np.ndarray, flo
     """G at every z of ``zs`` (all on the unit circle) and the worst
     relative residual.
 
-    Same deflated solve as :func:`transfer_eval`, on one of two paths:
-    - on the elimination schedule of A's pattern (:func:`_schedule_solve`,
-      SCHEDULE_BLOCK z at a time), when eliminating one z there touches
-      fewer entries than the d^2 / 2 a Hessenberg solve does: 475 against
-      4 608 on the pool per-step kernel;
+    Same deflated system as :func:`transfer_eval`, on one of two paths:
+    - on the bordered elimination schedule of A's pattern
+      (:func:`_schedule_solve`, SCHEDULE_BLOCK z at a time), when
+      eliminating one z there touches fewer entries than the d^2 / 2 a
+      Hessenberg solve does: 475 against 4 608 on the pool per-step kernel;
     - otherwise from one Hessenberg reduction of A - pi 1^T, where each z
       costs O(d^2), SWEEP_BLOCK z at a time.  On the 42-state tcl kernel
-      the schedule would touch 7 686 entries against 882.
-    Every solution passes the same finiteness and residual test as the
-    dense solve, in the original coordinates.  An eigendecomposition
+      the schedule would touch 7 892 entries against 882.
+    Every solution passes :func:`_checked_residuals`, as the dense solve's
+    does, in the original coordinates.  An eigendecomposition
     would make each z cheaper still, but the eigenvectors of A - pi 1^T
     can be nearly dependent (condition ~9e13 on the pool spd family at
     commands +-2), where it fails that residual test; the orthogonal
     reduction does not.
     """
     d = model.dim
-    deflated = model.a - np.outer(model.pi.weights, np.ones(d))
-    schedule = _schedule(model.a != 0.0)
+    schedule = _schedule(model.a != 0.0, border=True)
     if schedule.work < d * d / 2:
         block_size = SCHEDULE_BLOCK
 
@@ -437,32 +451,17 @@ def _transfer_sweep(model: LinearModel, zs: np.ndarray) -> tuple[np.ndarray, flo
             return _schedule_solve(schedule, model, block)
     else:
         block_size = SWEEP_BLOCK
-        h, q = _hessenberg(deflated)
+        h, q = _hessenberg(model.a - np.outer(model.pi.weights, np.ones(d)))
         rhs = q.T @ model.b
 
         def solve(block):
             return _real_matmul(q, _hessenberg_solve(h, rhs, block))
-    bscale = max(np.abs(model.b).max(), 1e-300)
     gs = np.empty(len(zs), dtype=complex)
     worst = 0.0
     for start in range(0, len(zs), block_size):
         block = zs[start:start + block_size]
         v = solve(block)
-        with np.errstate(all="ignore"):
-            resid = np.abs(block * v - _real_matmul(deflated, v)
-                           - model.b[:, None]).max(axis=0)
-        finite = np.isfinite(v).all(axis=0)
-        bad = ~finite | ~(resid <= SOLVE_TOL * bscale)
-        if bad.any():
-            i = int(np.argmax(bad))
-            z = complex(block[i])
-            if not finite[i]:
-                raise NearSingular(f"transfer evaluation overflowed at z = {z}")
-            raise NearSingular(
-                f"transfer evaluation ill-conditioned at z = {z} "
-                f"(residual {resid[i]:.2e})"
-            )
-        worst = max(worst, float(resid.max()) / bscale)
+        worst = max(worst, float(_checked_residuals(model, block, v).max()))
         gs[start:start + block_size] = _real_matmul(model.c, v)
     return gs, worst
 

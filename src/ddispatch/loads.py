@@ -44,6 +44,9 @@ __all__ = [
     "load_model",
 ]
 
+#: fewest Monte Carlo samples per origin state ``estimate_q0`` accepts
+MIN_SAMPLES_PER_STATE = 1000
+
 
 # -- pool pumps ------------------------------------------------------------
 
@@ -413,8 +416,8 @@ def estimate_q0(spec: TclModelSpec, samples_per_state: int = 20000,
     child stream of the master seed, so results are deterministic and
     independent of evaluation order.
     """
-    if samples_per_state < 1000:
-        raise ValidationError("need at least 1000 samples per state")
+    if samples_per_state < MIN_SAMPLES_PER_STATE:
+        raise ValidationError(f"need at least {MIN_SAMPLES_PER_STATE} samples per state")
     fall_on, rise_off = drift_per_step(spec, spec.broadcast_period_s)
     steps_per_period = spec.broadcast_period_s / spec.sample_period_s
     grid = spec.lattice

@@ -400,13 +400,14 @@ def _fill(mask: np.ndarray, order: np.ndarray) -> np.ndarray:
     return filled
 
 
-def _schedule(mask: np.ndarray) -> Schedule:
+def _schedule(mask: np.ndarray, border: bool = False) -> Schedule:
     """Elimination schedule of a square pattern with its diagonal forced in.
 
     The order is the natural or the reverse natural one, whichever fills
     less: eliminating the 96-state pool kernel in reverse adds 47 entries,
-    in natural order 3 384.  No order needs pivoting on the matrices it is
-    run on: zI - A for a column-stochastic A and |z| = 1, z != 1, is column
+    in natural order 3 384.  ``border`` then adds the whole row eliminated
+    last, which fills no other.  No order needs pivoting on the matrices it
+    is run on: zI - A for a column-stochastic A and |z| = 1 is column
     diagonally dominant, so its unpivoted elimination is stable (Higham,
     Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 9), and
     GTH reduces a stochastic matrix without subtractions.
@@ -417,6 +418,8 @@ def _schedule(mask: np.ndarray) -> Schedule:
     fills = [_fill(mask, order) for order in orders]
     best = int(np.argmin([f.sum() for f in fills]))
     order, filled = orders[best], fills[best]
+    if border:
+        filled[order[-1]] = True
     slots = np.full((d, d), -1)
     slots[filled] = np.arange(np.count_nonzero(filled))
     pivots = []

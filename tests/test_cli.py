@@ -12,6 +12,7 @@ from ddispatch.design import load_family
 from ddispatch.errors import SingularSystem
 from ddispatch.fileio import read_json, write_json
 from ddispatch.loads import load_model
+from ddispatch import sim as sim_module
 from ddispatch.sim import SignalSet
 
 
@@ -62,6 +63,12 @@ class TestModel:
         model = load_model(out)
         assert model.dim == 42
         assert model.r0 is not None
+
+    def test_samples_below_minimum(self, tmp_path, capsys):
+        assert run(["model", "--kind", "tcl", "--samples", "999",
+                    "--out", tmp_path / "m.json"]) == 2
+        assert ("argument --samples: must be an integer of at least 1000"
+                in capsys.readouterr().err)
 
     def test_spec_override(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -344,6 +351,14 @@ class TestAnalyze:
                     "--out", tmp_path / "b.csv"]) == 2
         assert "argument --zeta: must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_theta_count_below_minimum(self, workdir, tmp_path, capsys, count):
+        assert run(["analyze", "--family", workdir["family"], "--zeta", "0",
+                    "--theta-count", count, "--out", tmp_path / "b.csv"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --theta-count: must be an integer of at least 2" in err
+        assert not (tmp_path / "b.csv").exists()
+
     def test_zeta_required(self, workdir, tmp_path):
         assert run(["analyze", "--family", workdir["family"],
                     "--out", tmp_path / "b.csv"]) == 2
@@ -525,6 +540,8 @@ class TestSimulate:
         {"payload": "scenario", "mode": "constant", "family": 5},
         {"payload": "scenario", "mode": "constant", "family": None},
         {"payload": "scenario", "mode": "constant", "family": ["f.json"]},
+        {"mode": "track", "family": None, "steps": 3000, "period_s": 0},
+        {"mode": "track", "family": None, "steps": 3000, "period_s": -5},
     ], ids=["no_family", "steps_not_integer", "top_level_list", "controller_list",
             "steps_negative", "settle_not_below_steps", "settle_negative",
             "seed_negative", "seed_fractional", "zeta_nan", "amplitude_inf",
@@ -532,19 +549,24 @@ class TestSimulate:
             "steps_true", "zeta_false", "steps_true_zeta_false", "period_s_true",
             "steps_text", "format_version_text", "period_s_text", "kp_true",
             "ki_false", "zeta_limit_true", "family_number", "family_null",
-            "family_list"])
-    def test_malformed_scenario(self, workdir, tmp_path, capsys, doc):
+            "family_list", "period_s_zero", "period_s_negative"])
+    def test_malformed_scenario(self, workdir, tmp_path, capsys, monkeypatch, doc):
         # a document that names its payload is written as it is; in the
-        # others a "family" key names the working family
+        # others a "family" key names the working family.  Every field is
+        # checked before the plant takes a step.
         if isinstance(doc, dict) and "payload" not in doc:
             doc = dict({"format_version": 1, "payload": "scenario"}, **doc)
             if "family" in doc:
                 doc["family"] = str(workdir["family"])
         scenario = tmp_path / "s.json"
         write_json(scenario, doc)
+        steps = []
+        for name in ("meanfield_step", "fleet_step"):
+            monkeypatch.setattr(sim_module, name, lambda *args: steps.append(1))
         assert run(["simulate", "--scenario", scenario,
                     "--out", tmp_path / "x.csv"]) == 3
         assert "Traceback" not in capsys.readouterr().err
+        assert steps == []
 
     def test_missing_family(self, tmp_path):
         scenario = tmp_path / "s.json"

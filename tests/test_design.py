@@ -34,7 +34,8 @@ from ddispatch.errors import (
     SingularSystem,
     ValidationError,
 )
-from ddispatch.loads import PoolModelSpec, build_pool_model, synthesis_inputs
+from ddispatch.loads import (PoolModelSpec, TclModelSpec, build_pool_model,
+                             build_tcl_model, synthesis_inputs)
 from ddispatch.markov import (
     StateFunction,
     StochasticMatrix,
@@ -340,6 +341,20 @@ class TestDesignMaps:
         assert hi.units == "kW" and hs.units == "kW"
         assert hi.values[0] == 0.0 and hs.values[0] == 0.0
 
+    @pytest.mark.parametrize("kind,route", [("pool", "direct"), ("tcl", "compose"),
+                                            ("tcl", "direct")])
+    def test_spd_map_is_the_design_rate_at_zero(self, kind, route):
+        # both form the doubled kernel with one helper: bitwise equal (the
+        # pool's composed doubled kernel is reducible, so spd_map rejects it)
+        if kind == "pool":
+            model = build_pool_model(PoolModelSpec())
+        else:
+            model = build_tcl_model(TclModelSpec(), samples_per_state=1000, seed=0)
+        base, _ = synthesis_inputs(model, route)
+        space = model.space
+        rate = _design_rate("spd", space, base.nonzeros, base.nonzeros.values)
+        assert np.array_equal(spd_map(base, space.util, space.anchor).values, rate)
+
 
 def ode_family(d=3, zeta_max=1.0, step=0.01, kind="ipd", util=None,
                chain=None, anchor=0):
@@ -562,11 +577,11 @@ class TestOneFactorization:
         # one Poisson system, plus the invariant system that spd's time
         # reversal needs; each factorized once
         p = random_chain(rng, 6)
-        util = rng.normal(size=6)
+        space = simple_space(rng.normal(size=6))
         calls = count_solves(monkeypatch)
         for kind, solves in (("ipd", 1), ("spd", 2)):
             calls.clear()
-            _design_rate(kind, p.entries, util, 0)
+            _design_rate(kind, space, p.nonzeros, p.nonzeros.values)
             assert len(calls) == solves
 
     def test_residual_margin_at_small_mass(self):

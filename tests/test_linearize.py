@@ -11,6 +11,7 @@ from ddispatch.design import (
     build_exponential_family,
     geometric_compose,
     solve_design_ode,
+    spd_map,
 )
 from ddispatch.errors import NearSingular, UnstablePole, ValidationError
 from ddispatch.linearize import (
@@ -378,11 +379,15 @@ def swaps_needed(model, thetas):
     return count
 
 
-def assert_sweep_matches_oracle(model, theta_count):
-    """The batched sweep equals per-angle transfer_eval to 1e-12 relative."""
+def assert_sweep_matches_oracle(model, theta_count, paths=None):
+    """The batched sweep equals per-angle transfer_eval to 1e-12 relative;
+    ``paths`` (from count_paths) is left holding the sweep's calls alone."""
+    thetas = np.linspace(0.0, math.pi, theta_count)
+    want = np.array([transfer_eval(model, cmath.exp(1j * t))[0] for t in thetas])
+    if paths is not None:
+        paths.clear()
     resp = positive_real_check(model, theta_count=theta_count)
-    want = np.array([transfer_eval(model, cmath.exp(1j * t))[0]
-                     for t in resp.theta_grid])
+    assert np.array_equal(resp.theta_grid, thetas)
     scale = np.abs(want).max()
     assert np.abs(resp.g_values - want).max() <= 1e-12 * scale
     assert 0.0 <= resp.max_residual <= linearize_module.SOLVE_TOL
@@ -395,6 +400,17 @@ def pool_family():
     base, structure = synthesis_inputs(model, "compose")
     return solve_design_ode(base, model.space, "ipd", 0.1, step=0.05,
                             structure=structure)
+
+
+@pytest.fixture(scope="module")
+def pool_spd_family():
+    """Direct-route pool spd family, its utility scaled as in criterion 05."""
+    model = build_pool_model(PoolModelSpec())
+    base, structure = synthesis_inputs(model, "direct")
+    util = model.space.util.values
+    scale = np.abs(spd_map(base, util).values).max() / 4.0
+    space = simple_space(util / scale, anchor=model.space.anchor)
+    return solve_design_ode(base, space, "spd", 0.5, step=0.05, structure=structure)
 
 
 class TestTransferSweep:
@@ -485,10 +501,32 @@ def ladder_chain(rng, d, stay):
     return StochasticMatrix(m / m.sum(axis=1, keepdims=True))
 
 
+def sticky_ladder(rng, d, leave):
+    """``ladder_chain`` with self-loops whose state 5 leaves with probability
+    ``leave`` only."""
+    p = ladder_chain(rng, d, True).entries.copy()
+    p[5] *= leave
+    p[5, 5] += 1.0 - leave
+    return StochasticMatrix(p)
+
+
+def dyadic_ladder(d):
+    """Ladder whose every state steps up, stays or returns to 0 with
+    probabilities 1/2, 1/4, 1/4: without the border the last pivot of
+    I - A comes out exactly zero."""
+    m = np.zeros((d, d))
+    for i in range(d):
+        m[i, (i + 1) % d] += 0.5
+        m[i, i] += 0.25
+        m[i, 0] += 0.25
+    return StochasticMatrix(m)
+
+
 def count_paths(monkeypatch):
-    """Record which sweep path each block of angles takes."""
+    """Record which sweep path each block of angles takes, and every dense
+    deflated solve."""
     paths = []
-    for name in ("_schedule_solve", "_hessenberg_solve"):
+    for name in ("_schedule_solve", "_hessenberg_solve", "_deflated_solve"):
         solve = getattr(linearize_module, name)
 
         def counted(*args, _solve=solve, _name=name):
@@ -507,13 +545,11 @@ class TestScheduleSweep:
             p = ladder_chain(rng, d, stay)
             assert np.diag(p.entries).all() if stay else not np.diag(p.entries).any()
             model = chain_model(p, rng)
-            paths.clear()
-            assert_sweep_matches_oracle(model, theta_count=700)
-            assert set(paths) == {"_schedule_solve"} and len(paths) == 2
+            assert_sweep_matches_oracle(model, theta_count=700, paths=paths)
+            assert paths == ["_schedule_solve"] * 2
 
     def test_psd_near_and_at_the_perron_root(self):
-        # z = 1 and 2 pi go to the dense deflated solve; 1e-9 stays on the
-        # schedule, where the projection along pi keeps the centered part
+        # z = 1 and 2 pi are solved on the bordered schedule like any angle
         rng = np.random.default_rng(107)
         for stay in (True, False):
             model = chain_model(ladder_chain(rng, 40, stay), rng)
@@ -522,7 +558,37 @@ class TestScheduleSweep:
             want = model.sigma2 + 2.0 * (gplus.real - model.c @ model.b)
             got = psd(model, thetas)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-            assert got[0] == want[0] and got[4] == want[4]  # the dense solve itself
+
+    @pytest.mark.parametrize("case", ["loops", "no_loops", "sticky", "dyadic",
+                                      "pool_ipd", "pool_spd_direct"])
+    def test_bordered_sweep_at_and_near_z_one(self, case, request, monkeypatch):
+        # one bordered elimination at every angle, z = 1 and 2 pi included:
+        # no dense solve; "sticky" has a state that leaves with probability
+        # 1e-8, whose border multipliers need the projection along pi
+        rng = np.random.default_rng(1)
+        if case in ("loops", "no_loops"):
+            model = chain_model(ladder_chain(rng, 40, case == "loops"), rng)
+        elif case == "sticky":
+            model = chain_model(sticky_ladder(rng, 40, 1e-8), rng)
+        elif case == "dyadic":
+            model = chain_model(dyadic_ladder(40), rng)
+        elif case == "pool_ipd":
+            model = linearize(request.getfixturevalue("pool_family"), -0.1)
+        else:
+            model = linearize(request.getfixturevalue("pool_spd_family"), 0.5)
+        thetas = np.concatenate([[0.0, 1e-12, 1e-9, 2.0 * math.pi],
+                                 np.linspace(0.0, math.pi, 300)])
+        zs = np.exp(1j * thetas)
+        want = np.array([transfer_eval(model, z)[0] for z in zs])
+        paths = count_paths(monkeypatch)
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *args: solves.append(1) or solve(*args))
+        got, resid = linearize_module._transfer_sweep(model, zs)
+        assert paths == ["_schedule_solve"] and not solves
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert resid <= 1e-12
 
     def test_residual_check_raises(self, monkeypatch):
         model = chain_model(ladder_chain(np.random.default_rng(109), 40, True),
@@ -550,15 +616,28 @@ class TestScheduleSweep:
         p = 0.994 * lazy_cycle(6).entries + 1e-3
         model = chain_model(StochasticMatrix(p), np.random.default_rng(131))
         paths = count_paths(monkeypatch)
-        resp = assert_sweep_matches_oracle(model, theta_count=200)
-        assert set(paths) == {"_hessenberg_solve"}
+        resp = assert_sweep_matches_oracle(model, theta_count=200, paths=paths)
+        assert paths == ["_hessenberg_solve"] * 2
         assert swaps_needed(model, resp.theta_grid) > 100
 
     def test_pool_schedule_fill(self, pool_family):
         step = pool_family.step_support
-        schedule = markov._schedule(pool_family.kernel_at(0.0).entries.T != 0.0)
+        mask = pool_family.kernel_at(0.0).entries.T != 0.0
+        schedule = markov._schedule(mask)
         assert schedule.size - step.rows.size <= 47
         assert schedule.work < 96 * 96 / 2
+        # the reverse order's fill has filled the border row already
+        assert markov._schedule(mask, border=True).work == schedule.work
+
+    def test_border_fills_only_its_row(self):
+        # a birth-death pattern, which eliminates without fill
+        mask = (np.eye(20, k=-1) + np.eye(20, k=1)) != 0.0
+        plain, bordered = markov._schedule(mask), markov._schedule(mask, border=True)
+        last = bordered.pivots[-1].state
+        assert last == plain.pivots[-1].state
+        assert not (plain.slots[last] >= 0).all() and (bordered.slots[last] >= 0).all()
+        assert np.array_equal(np.delete(bordered.slots >= 0, last, axis=0),
+                              np.delete(plain.slots >= 0, last, axis=0))
 
     def test_linearize_validates_two_kernels(self, pool_family, monkeypatch):
         # the per-step and jump kernels; the pmf and the design rate read
