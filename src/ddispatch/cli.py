@@ -43,36 +43,43 @@ from .design import (DesignFamily, LoadStateSpace, _zero_direction,  # noqa: E40
                      solve_design_ode)
 from .errors import (BadCutoffs, DispatchError, IntegrationDiverged,  # noqa: E402
                      LatticeMismatch, ValidationError)
-from .fileio import (FORMAT_VERSION, boolean, document, field, finite,  # noqa: E402
+from .fileio import (boolean, document, envelope, field, finite,  # noqa: E402
                      integer, json_object, malformed, numbers, read_json, string,
                      write_json)
-from .linearize import (MIN_THETA_COUNT, bode_export, linearize,  # noqa: E402
-                        positive_real_check)
-from .loads import (MIN_SAMPLES_PER_STATE, LoadModel, PoolModelSpec,  # noqa: E402
-                    TclModelSpec, build_pool_model, build_tcl_model, load_model,
-                    save_model, synthesis_inputs, tcl_trajectory, trajectory_to_csv)
+from .linearize import (MAX_THETA_COUNT, MIN_THETA_COUNT, bode_export,  # noqa: E402
+                        linearize, positive_real_check)
+from .loads import (MAX_SAMPLES_PER_STATE, MIN_SAMPLES_PER_STATE,  # noqa: E402
+                    LoadModel, PoolModelSpec, TclModelSpec, build_pool_model,
+                    build_tcl_model, load_model, save_model, synthesis_inputs,
+                    tcl_trajectory, trajectory_to_csv)
 from .markov import (StateFunction, StochasticMatrix,  # noqa: E402
                      check_irreducible_aperiodic)
-from .sim import (SignalSet, TrackingConfig, fleet_rollout,  # noqa: E402
+from .sim import (MAX_FLEET_SIZE, SignalSet, TrackingConfig, fleet_rollout,  # noqa: E402
                   frequency_decompose, meanfield_rollout, track, tracking_metrics)
 
+#: most steps a scenario runs: a tracking run keeps ~0.4 kB a step (its
+#: signals and their CSV text), so 0.4 GB at this maximum
+MAX_STEPS = 10**6
 
-def _number(cast, noun: str, low: float = 0.0, what: str = "positive and finite"):
-    """Argument type: a finite value of ``cast`` above ``low``."""
+
+def _number(cast, noun: str, low: float = 0.0, what: str = "positive and finite",
+            high: float = np.inf):
+    """Argument type: a value of ``cast`` above ``low`` and below ``high``."""
     def parse(text: str):
         try:
             value = cast(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{text!r} is not {noun}")
-        if not low < value < np.inf:
+        if not low < value < high:
             raise argparse.ArgumentTypeError(f"must be {what}")
         return value
     return parse
 
 
-def _count(minimum: int):
-    """Argument type: an integer of at least ``minimum``."""
-    return _number(int, "an integer", minimum - 1, f"an integer of at least {minimum}")
+def _count(minimum: int, maximum: int):
+    """Argument type: an integer from ``minimum`` to ``maximum``."""
+    return _number(int, "an integer", minimum - 1,
+                   f"an integer of at least {minimum} and at most {maximum}", maximum + 1)
 
 
 _positive_float = _number(float, "a number")
@@ -92,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="JSON spec file (defaults used if omitted "
                                   "for pool/tcl; required for custom)")
     p.add_argument("--out", required=True, help="output model JSON path")
-    p.add_argument("--samples", type=_count(MIN_SAMPLES_PER_STATE), default=20000,
-                   help="Monte Carlo samples per state (tcl only)")
+    p.add_argument("--samples", type=_count(MIN_SAMPLES_PER_STATE, MAX_SAMPLES_PER_STATE),
+                   default=20000, help="Monte Carlo samples per state (tcl only)")
     p.add_argument("--seed", type=int, default=0, help="estimation seed (tcl)")
     p.set_defaults(func=cmd_model)
 
@@ -119,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, help="family JSON path")
     p.add_argument("--zeta", type=_finite_float, nargs="+", required=True,
                    help="command values to linearize at")
-    p.add_argument("--theta-count", type=_count(MIN_THETA_COUNT), default=2048)
+    p.add_argument("--theta-count", type=_count(MIN_THETA_COUNT, MAX_THETA_COUNT),
+                   default=2048)
     p.add_argument("--sample-period", type=_positive_float, default=None,
                    help="seconds per step, adds a frequency column")
     p.add_argument("--out", required=True, help="output Bode CSV path")
@@ -258,8 +266,7 @@ def cmd_analyze(ns) -> int:
               f"sigma2={resp.sigma2:.6g}")
     bode_export(responses, path=ns.out, sample_period=ns.sample_period)
     report_path = ns.report or (str(ns.out) + ".passivity.json")
-    write_json(report_path, {"format_version": FORMAT_VERSION,
-                             "payload": "passivity", "results": results})
+    write_json(report_path, envelope("passivity", results=results))
     print(f"wrote {ns.out} and {report_path}")
     return EXIT_OK
 
@@ -318,8 +325,8 @@ class Scenario:
         if plant not in ("meanfield", "fleet"):
             raise ValidationError(f"unknown plant {plant!r}")
         steps = field(doc, "steps", integer, 10000 if mode == "trajectory" else 500)
-        if steps < 1:
-            raise ValidationError(f"steps must be at least 1, got {steps}")
+        if not 1 <= steps <= MAX_STEPS:
+            raise ValidationError(f"steps must lie in [1, {MAX_STEPS}], got {steps}")
         settle = field(doc, "settle", integer, 0)
         if not 0 <= settle < steps:
             raise ValidationError(f"settle must lie in [0, steps), got {settle}")
@@ -329,14 +336,17 @@ class Scenario:
         period_s = field(doc, "period_s", finite, 1.0)
         if period_s <= 0.0:
             raise ValidationError(f"period_s must be positive, got {period_s:g}")
+        n = field(doc, "n", integer, 1000)
+        if plant == "fleet" and not 1 <= n <= MAX_FLEET_SIZE:
+            raise ValidationError(f"n must lie in [1, {MAX_FLEET_SIZE}] for a fleet, got {n}")
         family = None
-        with malformed("scenario"):  # also a steps count too large for an array
+        with malformed("scenario"):
             if mode != "trajectory" or "family" in doc:
                 family = load_family(os.path.join(os.path.dirname(os.path.abspath(path)),
                                                   string(doc["family"])))
             reference = _reference(doc.get("reference", {}), steps)
         return cls(mode=mode, family=family, steps=steps, settle=settle, seed=seed,
-                   n=field(doc, "n", integer, 1000),
+                   n=n,
                    zeta=field(doc, "zeta", finite, 0.0),
                    period_s=period_s, plant=plant,
                    reference=reference,
@@ -378,8 +388,7 @@ def cmd_simulate(ns) -> int:
         signals.to_csv(ns.out)
     print(f"wrote {ns.out}")
     metrics_path = ns.metrics or (str(ns.out) + ".metrics.json")
-    write_json(metrics_path, {"format_version": FORMAT_VERSION,
-                              "payload": "metrics", "metrics": metrics})
+    write_json(metrics_path, envelope("metrics", metrics=metrics))
     print(f"wrote {metrics_path}")
     return EXIT_OK
 

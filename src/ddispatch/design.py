@@ -23,8 +23,6 @@ steer the exogenous part.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -40,8 +38,8 @@ from .errors import (
     ValidationError,
     ZeroMass,
 )
-from .fileio import (FORMAT_VERSION, document, field, finite, integer,
-                     json_object, malformed, numbers, read_json, string, write_json)
+from .fileio import (document, envelope, field, finite, integer, json_object,
+                     malformed, numbers, read_json, string, write_json)
 from .markov import (
     Nonzeros,
     Pmf,
@@ -140,15 +138,10 @@ class LoadStateSpace:
         return x_c * self.n_exo + x_exo
 
     def to_json(self) -> dict:
-        doc = {
-            "n_control": self.n_control,
-            "n_exo": self.n_exo,
-            "anchor": self.anchor,
-            "util": list(map(float, self.util.values)),
-            "util_units": self.util.units,
-        }
+        doc = dict(n_control=self.n_control, n_exo=self.n_exo, anchor=self.anchor,
+                   util=self.util.values.tolist(), util_units=self.util.units)
         if self.exo_kernel is not None:
-            doc["exo_kernel"] = [list(map(float, r)) for r in self.exo_kernel.entries]
+            doc["exo_kernel"] = self.exo_kernel.entries.tolist()
         return doc
 
     @classmethod
@@ -586,19 +579,12 @@ class DesignFamily:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict:
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "payload": "design-family",
-            "kind": self.kind,
-            "structure": self.structure.to_json(),
-            "space": self.space.to_json(),
-            "base": [list(map(float, r)) for r in self.base.entries],
-            "zeta_grid": list(map(float, self.zeta_grid)),
-            "h_grid": [list(map(float, r)) for r in self.h_grid],
-            "synthesis": self.synthesis,
-        }
+        doc = envelope("design-family", kind=self.kind,
+                       structure=self.structure.to_json(), space=self.space.to_json(),
+                       base=self.base.entries.tolist(), zeta_grid=self.zeta_grid.tolist(),
+                       h_grid=self.h_grid.tolist(), synthesis=self.synthesis)
         if self.generator is not None:
-            doc["generator"] = list(map(float, self.generator))
+            doc["generator"] = self.generator.tolist()
         if self.model_hash is not None:
             doc["model_hash"] = self.model_hash
         return doc
@@ -828,9 +814,3 @@ def sampling_rate_profile(family: DesignFamily, zeta: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(ref > 0.0, now / np.where(ref > 0.0, ref, 1.0), np.nan)
     return out
-
-
-def model_digest(doc: dict) -> str:
-    """Stable content hash for a serialized model document."""
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()

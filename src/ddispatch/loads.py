@@ -10,16 +10,15 @@ temperature kernel is estimated by Monte Carlo from the thermal recursion.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .design import FamilyStructure, LoadStateSpace, model_digest
+from .design import FamilyStructure, LoadStateSpace
 from .errors import InfeasibleDutyCycle, LatticeMismatch, ValidationError
-from .fileio import (FORMAT_VERSION, atomic_write_text, document, finite,
-                     json_object, malformed, numbers, read_json, spec_from_json,
+from .fileio import (document, envelope, finite, json_object, malformed,
+                     model_digest, numbers, read_json, spec_from_json, write_csv,
                      write_json)
 from .markov import Pmf, StateFunction, StochasticMatrix, geometric_mix, invariant_pmf
 
@@ -46,6 +45,10 @@ __all__ = [
 
 #: fewest Monte Carlo samples per origin state ``estimate_q0`` accepts
 MIN_SAMPLES_PER_STATE = 1000
+
+#: most samples per origin state: one state's draws take ~50 bytes a sample
+#: (epoch lengths, noise, landings, cells), so 0.5 GB at this maximum
+MAX_SAMPLES_PER_STATE = 10**7
 
 
 # -- pool pumps ------------------------------------------------------------
@@ -144,9 +147,8 @@ class LoadModel:
     """A built load fleet: jump kernel, sampling rate, and state bookkeeping.
 
     ``s0`` acts at sampling opportunities; the per-step kernel is the lazy
-    mix ``p0``.  For factorized models ``r0`` holds the mode policy as a
-    rectangular (states x modes) matrix and the space carries the
-    temperature kernel.
+    mix ``p0``.  For factorized models the space carries the temperature
+    kernel.
     """
 
     kind: str
@@ -155,7 +157,6 @@ class LoadModel:
     s0: StochasticMatrix
     gamma: float
     diagnostics: dict = field(default_factory=dict)
-    r0: np.ndarray | None = None
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -169,19 +170,9 @@ class LoadModel:
         return self.space.dim
 
     def to_json(self) -> dict:
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "payload": "load-model",
-            "kind": self.kind,
-            "spec": self.spec_doc,
-            "gamma": self.gamma,
-            "space": self.space.to_json(),
-            "s0": [list(map(float, row)) for row in self.s0.entries],
-            "diagnostics": self.diagnostics,
-        }
-        if self.r0 is not None:
-            doc["r0"] = [list(map(float, row)) for row in self.r0]
-        return doc
+        return envelope("load-model", kind=self.kind, spec=self.spec_doc,
+                        gamma=self.gamma, space=self.space.to_json(),
+                        s0=self.s0.entries.tolist(), diagnostics=self.diagnostics)
 
     @property
     def digest(self) -> str:
@@ -190,7 +181,6 @@ class LoadModel:
     @classmethod
     def from_json(cls, doc: dict) -> "LoadModel":
         doc = document(doc, "load-model")
-        r0 = doc.get("r0")
         return cls(
             kind=doc["kind"],
             spec_doc=json_object(doc["spec"], "spec"),
@@ -198,7 +188,6 @@ class LoadModel:
             s0=StochasticMatrix(numbers(doc["s0"], 2)),
             gamma=finite(doc["gamma"]),
             diagnostics=json_object(doc.get("diagnostics", {}), "diagnostics"),
-            r0=None if r0 is None else numbers(r0, 2),
         )
 
 
@@ -416,8 +405,9 @@ def estimate_q0(spec: TclModelSpec, samples_per_state: int = 20000,
     child stream of the master seed, so results are deterministic and
     independent of evaluation order.
     """
-    if samples_per_state < MIN_SAMPLES_PER_STATE:
-        raise ValidationError(f"need at least {MIN_SAMPLES_PER_STATE} samples per state")
+    if not MIN_SAMPLES_PER_STATE <= samples_per_state <= MAX_SAMPLES_PER_STATE:
+        raise ValidationError(f"need {MIN_SAMPLES_PER_STATE} to {MAX_SAMPLES_PER_STATE} "
+                              "samples per state")
     fall_on, rise_off = drift_per_step(spec, spec.broadcast_period_s)
     steps_per_period = spec.broadcast_period_s / spec.sample_period_s
     grid = spec.lattice
@@ -478,7 +468,7 @@ def build_tcl_model(spec: TclModelSpec, samples_per_state: int = 20000,
     }
     return LoadModel(kind="tcl", spec_doc=spec.to_json(), space=space,
                      s0=StochasticMatrix(s0), gamma=spec.gamma,
-                     diagnostics=diagnostics, r0=r0)
+                     diagnostics=diagnostics)
 
 
 def deterministic_cycle_steps(spec: TclModelSpec, model: str) -> tuple[int, int]:
@@ -607,12 +597,7 @@ def tcl_trajectory(spec: TclModelSpec, steps: int, seed: int = 0,
 
 
 def trajectory_to_csv(traj: TclTrajectory, path=None) -> str:
-    buf = io.StringIO()
-    buf.write("time_s,theta_c,mode,zeta\n")
-    for i in range(len(traj.theta)):
-        buf.write(f"{traj.times_s[i]:.6g},{traj.theta[i]:.8g},"
-                  f"{traj.mode[i]},{traj.zeta[i]:.8g}\n")
-    text = buf.getvalue()
-    if path is not None:
-        atomic_write_text(path, text)
-    return text
+    """The trajectory as CSV, one row per step; written to ``path`` if given."""
+    return write_csv(path, ["time_s", "theta_c", "mode", "zeta"],
+                     [traj.times_s, traj.theta, traj.mode, traj.zeta],
+                     ["%.6g", "%.8g", "%d", "%.8g"])

@@ -1,14 +1,17 @@
 """Finite-state Markov chain algebra on dense matrices and their supports.
 
 Small, exact building blocks used everywhere else in the package: validated
-row-stochastic matrices, probability vectors, invariant distributions via a
-direct linear solve, fundamental matrices, time-reversal adjoints, Poisson's
-equation, and the relative entropy rate between chains sharing a support.
-For many kernels on one support, :func:`_schedule` plans a pivot-free
-elimination once and :func:`_gth` runs it, batched, to find their invariant
-distributions.  Values are immutable and safe to share between threads.  A
-kernel's support mask, nonzeros and structure report are computed on first
-use and kept; a race between threads at worst computes the same value twice.
+row-stochastic matrices, probability vectors, the invariant distribution of
+one kernel by a direct (LU) solve, fundamental matrices, time-reversal
+adjoints, Poisson's equation, and the relative entropy rate between chains
+sharing a support.  For many kernels on one support, :func:`_schedule` plans
+a pivot-free elimination once and :func:`_gth` runs it, batched, to find
+their invariant distributions: design families solve every pmf they use
+this way, by GTH state reduction, and the direct solve is left to
+:func:`invariant_pmf` and the spd rule's time reversal.  Values are
+immutable and safe to share between threads.  A kernel's support mask,
+nonzeros and structure report are computed on first use and kept; a race
+between threads at worst computes the same value twice.
 """
 
 from __future__ import annotations
@@ -298,20 +301,6 @@ def _solve(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
         raise SingularSystem(f"{what} solve failed: {exc}") from exc
 
 
-def _invariant_raw(p: np.ndarray) -> np.ndarray:
-    """Solve pi P = pi, sum(pi) = 1 by replacing one balance equation."""
-    d = p.shape[0]
-    a = p.T - np.eye(d)
-    a[-1, :] = 1.0
-    b = np.zeros(d)
-    b[-1] = 1.0
-    w = _solve(a, b, "invariant")
-    s = w.sum()
-    if s <= 0 or not np.isfinite(s):
-        raise SingularSystem("invariant solve produced a non-normalizable vector")
-    return w / s
-
-
 class InvariantSolve(NamedTuple):
     """Invariant weights as a solve left them, and that solve's residual
     sum |w P - w|, before :func:`_checked_invariant_raw` accepts them."""
@@ -321,8 +310,18 @@ class InvariantSolve(NamedTuple):
 
 
 def _lu_invariant(p: np.ndarray) -> InvariantSolve:
-    """Invariant weights of a dense kernel by LU, with their residual."""
-    w = _invariant_raw(p)
+    """Invariant weights of a dense kernel, with their residual: pi P = pi,
+    sum(pi) = 1 solved by LU with one balance equation replaced."""
+    d = p.shape[0]
+    a = p.T - np.eye(d)
+    a[-1, :] = 1.0
+    b = np.zeros(d)
+    b[-1] = 1.0
+    w = _solve(a, b, "invariant")
+    s = w.sum()
+    if s <= 0 or not np.isfinite(s):
+        raise SingularSystem("invariant solve produced a non-normalizable vector")
+    w = w / s
     return InvariantSolve(w, float(np.abs(w @ p - w).sum()))
 
 

@@ -13,7 +13,6 @@ gains come from the DC gain of the command-to-power linearization.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -21,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadCutoffs, ValidationError
-from .fileio import FORMAT_VERSION, atomic_write_text, malformed
+from .fileio import field, read_csv, write_csv
 from .linearize import dc_gain, linearize
 from .markov import Nonzeros, Pmf, as_values
 
@@ -84,53 +83,25 @@ class SignalSet:
         return self.samples[name]
 
     def to_csv(self, path=None) -> str:
-        buf = io.StringIO()
-        buf.write(f"# format_version={FORMAT_VERSION}\n")
-        buf.write(f"# period_s={self.period_s!r}\n")
+        """The signals as exact (``%.17g``) CSV; written to ``path`` if given."""
         names = list(self.samples)
-        buf.write("t_s," + ",".join(names) + "\n")
-        times = self.times_s
-        cols = [self.samples[n] for n in names]
-        for i in range(self.length):
-            row = [f"{times[i]:.17g}"] + [f"{c[i]:.17g}" for c in cols]
-            buf.write(",".join(row) + "\n")
-        text = buf.getvalue()
-        if path is not None:
-            atomic_write_text(path, text)
-        return text
+        return write_csv(path, ["t_s", *names],
+                         [self.times_s, *self.samples.values()],
+                         ["%.17g"] * (len(names) + 1),
+                         preamble={"period_s": self.period_s})
 
     @classmethod
     def from_csv(cls, text: str) -> "SignalSet":
-        """Parse :meth:`to_csv` text; every cell must be a finite number."""
-        period = None
-        header = None
-        rows = []
-        with malformed("signal CSV"):
-            for line in text.splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line[1:].partition("=")
-                    if key.strip() == "period_s":
-                        period = float(value)
-                    continue
-                if header is None:
-                    header = [h.strip() for h in line.split(",")]
-                    if header[0] != "t_s" or len(header) < 2:
-                        raise ValidationError("expected a 't_s,<signals>' header")
-                    continue
-                rows.append([float(v) for v in line.split(",")])
-            if header is None or not rows:
-                raise ValidationError("no signal rows found")
-            if period is None:
-                if len(rows) > 1:
-                    period = rows[1][0] - rows[0][0]
-                else:
-                    raise ValidationError("cannot infer the sample period")
-            data = np.asarray(rows, dtype=float)
-        if data.shape[1] != len(header) or not np.isfinite(data).all():
-            raise ValidationError("each signal row needs one finite number per column")
+        """Parse :meth:`to_csv` text; every cell must be a finite number.
+        Without a ``period_s`` line the period is the first time step."""
+        preamble, header, data = read_csv(text)
+        if header[0] != "t_s" or len(header) < 2:
+            raise ValidationError("expected a 't_s,<signals>' header")
+        period = field(preamble, "period_s", float, None)
+        if period is None:
+            if len(data) < 2:
+                raise ValidationError("cannot infer the sample period")
+            period = float(data[1, 0] - data[0, 0])
         samples = {name: data[:, j + 1] for j, name in enumerate(header[1:])}
         return cls(period_s=period, samples=samples)
 
@@ -177,6 +148,10 @@ def meanfield_rollout(family, zetas, mu0: Pmf | None = None):
 
 # -- finite fleets ---------------------------------------------------------
 
+#: most agents ``fleet_init`` accepts: a fleet step holds ~50 bytes an agent
+#: (states, draws and the search positions), so 0.5 GB at this maximum
+MAX_FLEET_SIZE = 10**7
+
 
 @dataclass(frozen=True, eq=False)
 class FleetState:
@@ -203,8 +178,8 @@ class FleetState:
 
 def fleet_init(family, n: int, seed: int, mu0: Pmf | None = None):
     """Draw initial agent states i.i.d. and return the stream for stepping."""
-    if n < 1:
-        raise ValidationError("fleet size must be positive")
+    if not 1 <= n <= MAX_FLEET_SIZE:
+        raise ValidationError(f"fleet size must lie in [1, {MAX_FLEET_SIZE}], got {n}")
     mu = family.pi_at(0.0) if mu0 is None else mu0
     rng = np.random.default_rng(seed)
     states = rng.choice(family.space.dim, size=n, p=mu.weights)

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -62,13 +64,20 @@ class TestModel:
                     "--samples", "2000", "--seed", "1"]) == 0
         model = load_model(out)
         assert model.dim == 42
-        assert model.r0 is not None
 
     def test_samples_below_minimum(self, tmp_path, capsys):
         assert run(["model", "--kind", "tcl", "--samples", "999",
                     "--out", tmp_path / "m.json"]) == 2
         assert ("argument --samples: must be an integer of at least 1000"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("samples", ["10000001", "1000000000000"])
+    def test_samples_above_maximum(self, tmp_path, capsys, samples):
+        assert run(["model", "--kind", "tcl", "--samples", samples,
+                    "--out", tmp_path / "m.json"]) == 2
+        assert ("argument --samples: must be an integer of at least 1000 and at "
+                "most 10000000" in capsys.readouterr().err)
+        assert not (tmp_path / "m.json").exists()
 
     def test_spec_override(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -359,6 +368,15 @@ class TestAnalyze:
         assert "argument --theta-count: must be an integer of at least 2" in err
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("count", ["500001", "1000000000000"])
+    def test_theta_count_above_maximum(self, workdir, tmp_path, capsys, count):
+        assert run(["analyze", "--family", workdir["family"], "--zeta", "0",
+                    "--theta-count", count, "--out", tmp_path / "b.csv"]) == 2
+        err = capsys.readouterr().err
+        assert ("argument --theta-count: must be an integer of at least 2 and at "
+                "most 500000" in err)
+        assert not (tmp_path / "b.csv").exists()
+
     def test_zeta_required(self, workdir, tmp_path):
         assert run(["analyze", "--family", workdir["family"],
                     "--out", tmp_path / "b.csv"]) == 2
@@ -542,6 +560,12 @@ class TestSimulate:
         {"payload": "scenario", "mode": "constant", "family": ["f.json"]},
         {"mode": "track", "family": None, "steps": 3000, "period_s": 0},
         {"mode": "track", "family": None, "steps": 3000, "period_s": -5},
+        {"mode": "track", "family": None, "steps": 10**6 + 1},
+        {"mode": "constant", "family": None, "steps": 10**12},
+        {"mode": "trajectory", "steps": 10**12},
+        {"mode": "constant", "family": None, "plant": "fleet", "n": 0},
+        {"mode": "constant", "family": None, "plant": "fleet", "n": 10**7 + 1},
+        {"mode": "track", "family": None, "plant": "fleet", "n": 10**12},
     ], ids=["no_family", "steps_not_integer", "top_level_list", "controller_list",
             "steps_negative", "settle_not_below_steps", "settle_negative",
             "seed_negative", "seed_fractional", "zeta_nan", "amplitude_inf",
@@ -549,7 +573,9 @@ class TestSimulate:
             "steps_true", "zeta_false", "steps_true_zeta_false", "period_s_true",
             "steps_text", "format_version_text", "period_s_text", "kp_true",
             "ki_false", "zeta_limit_true", "family_number", "family_null",
-            "family_list", "period_s_zero", "period_s_negative"])
+            "family_list", "period_s_zero", "period_s_negative",
+            "steps_above_maximum", "steps_huge", "trajectory_steps_huge",
+            "fleet_n_zero", "fleet_n_above_maximum", "fleet_n_huge"])
     def test_malformed_scenario(self, workdir, tmp_path, capsys, monkeypatch, doc):
         # a document that names its payload is written as it is; in the
         # others a "family" key names the working family.  Every field is
@@ -710,3 +736,29 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "decompose" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "loaded: []"
+
+    def test_only_fileio_writes_or_hashes(self):
+        # the on-disk formats live in one module: no other module writes a
+        # file, encodes JSON or hashes a document
+        package = pathlib.Path(importlib.import_module("ddispatch").__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "fileio.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = {a.name for a in node.names} | {getattr(node, "module", None)}
+                    if names & {"hashlib", "atomic_write_text"}:
+                        found.append(f"{path.name}:{node.lineno} imports {names - {None}}")
+                elif isinstance(node, ast.Call):
+                    call = ast.unparse(node.func)
+                    modes = node.args[1:2] + [k.value for k in node.keywords
+                                              if k.arg == "mode"]
+                    if call in ("atomic_write_text", "json.dump", "json.dumps") \
+                            or call.startswith("hashlib.") \
+                            or call.endswith(("write_text", "write_bytes")) \
+                            or call.endswith("open") and any(
+                                not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                                for m in modes):
+                        found.append(f"{path.name}:{node.lineno} calls {call}")
+        assert found == []

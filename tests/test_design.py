@@ -39,7 +39,7 @@ from ddispatch.loads import (PoolModelSpec, TclModelSpec, build_pool_model,
 from ddispatch.markov import (
     StateFunction,
     StochasticMatrix,
-    _invariant_raw,
+    _lu_invariant,
     _poisson_raw,
     adjoint_product,
     invariant_pmf,
@@ -593,7 +593,7 @@ class TestOneFactorization:
         space = model.space
         u = space.util.values
         p = tilt(base, lift_control(space, (u.mean() - u) / np.ptp(u)))[0].entries
-        pi = _invariant_raw(p)
+        pi = _lu_invariant(p).weights
         assert 0.0 < pi.min() < 1e-7
         assert np.abs(pi @ p - pi).sum() <= 1e-14
         h = _poisson_raw(p, u, space.anchor)
@@ -679,7 +679,7 @@ class TestGthPmfs:
         solves = markov._gth(fam.schedule, fam.step_support, values)
         assert len(solves) == len(zetas)
         for zeta, solve in zip(zetas, solves):
-            lu = _invariant_raw(fam.kernel_at(zeta).entries)
+            lu = _lu_invariant(fam.kernel_at(zeta).entries).weights
             assert np.abs(solve.weights - lu).sum() <= 1e-14
             assert solve.residual <= 1e-15
 

@@ -15,6 +15,7 @@ from ddispatch.design import (
 )
 from ddispatch.errors import NearSingular, UnstablePole, ValidationError
 from ddispatch.linearize import (
+    MAX_THETA_COUNT,
     LinearModel,
     b_adjoint_form,
     bode_export,
@@ -334,6 +335,12 @@ class TestPositiveReal:
             positive_real_check(LinearModel(
                 a=np.eye(2), b=np.array([0.5, -0.5]),
                 c=np.array([1.0, -1.0]), sigma2=1.0, zeta=0.0, pi=pi))
+
+    @pytest.mark.parametrize("count", [1, MAX_THETA_COUNT + 1, 10**12])
+    def test_theta_count_out_of_range(self, count):
+        model, _, _ = two_state_model()
+        with pytest.raises(ValidationError, match="theta_count"):
+            positive_real_check(model, theta_count=count)
 
     def test_response_shapes(self):
         model, _, _ = two_state_model()

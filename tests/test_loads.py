@@ -1,4 +1,5 @@
 import io
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from ddispatch import (
 )
 from ddispatch.design import FamilyStructure, build_exponential_family
 from ddispatch.loads import (
+    MAX_SAMPLES_PER_STATE,
     LoadModel,
+    _mode_policy,
     PoolModelSpec,
     TclModelSpec,
     build_pool_model,
@@ -308,6 +311,11 @@ class TestEstimateQ0:
         with pytest.raises(ValidationError):
             estimate_q0(TclModelSpec(), samples_per_state=500)
 
+    @pytest.mark.parametrize("samples", [MAX_SAMPLES_PER_STATE + 1, 10**12])
+    def test_sample_ceiling(self, samples):
+        with pytest.raises(ValidationError, match="samples per state"):
+            estimate_q0(TclModelSpec(), samples_per_state=samples)
+
 
 @pytest.fixture(scope="module")
 def tcl():
@@ -318,7 +326,7 @@ class TestTclModel:
     def test_factorization_exact(self, tcl):
         s = tcl.s0.entries
         q = tcl.space.exo_kernel.entries
-        r = tcl.r0
+        r = _mode_policy(TclModelSpec())
         for x in (0, 7, 20, 21, 30, 41):
             for m in (0, 1):
                 assert np.array_equal(s[x, m * 21:(m + 1) * 21], r[x, m] * q[x])
@@ -326,7 +334,7 @@ class TestTclModel:
     def test_mode_marginal(self, tcl):
         s = tcl.s0.entries
         marg = s.reshape(42, 2, 21).sum(axis=2)
-        assert np.allclose(marg, tcl.r0, atol=1e-12)
+        assert np.allclose(marg, _mode_policy(TclModelSpec()), atol=1e-12)
 
     def test_per_step_kernel_structure(self, tcl):
         report = check_irreducible_aperiodic(tcl.p0)
@@ -368,9 +376,18 @@ class TestTclModel:
         save_model(tcl, path)
         back = load_model(path)
         assert np.array_equal(back.s0.entries, tcl.s0.entries)
-        assert np.array_equal(back.r0, tcl.r0)
         assert np.array_equal(back.space.exo_kernel.entries,
                               tcl.space.exo_kernel.entries)
+        assert back.digest == tcl.digest
+
+    def test_old_document_with_mode_policy_loads(self, tcl, tmp_path):
+        # documents once carried the mode policy as "r0"; it is ignored
+        path = tmp_path / "old.json"
+        doc = dict(tcl.to_json(), r0=_mode_policy(TclModelSpec()).tolist())
+        path.write_text(json.dumps(doc))
+        back = load_model(path)
+        assert np.array_equal(back.s0.entries, tcl.s0.entries)
+        assert "r0" not in back.to_json()
         assert back.digest == tcl.digest
 
     def test_digest_tracks_content(self, tcl):

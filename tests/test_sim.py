@@ -12,6 +12,7 @@ from ddispatch.linearize import dc_gain, linearize, transfer_eval
 from ddispatch.markov import (Pmf, StateFunction, StochasticMatrix, geometric_mix,
                               invariant_pmf)
 from ddispatch.sim import (
+    MAX_FLEET_SIZE,
     FleetState,
     SignalSet,
     TrackingConfig,
@@ -363,8 +364,9 @@ class TestFleet:
         assert -0.8 < slope < -0.2
 
     def test_bad_fleet_size(self, fam):
-        with pytest.raises(ValidationError):
-            fleet_init(fam, 0, seed=0)
+        for n in (0, MAX_FLEET_SIZE + 1, 10**12):
+            with pytest.raises(ValidationError, match="fleet size"):
+                fleet_init(fam, n, seed=0)
 
 
 class TestTracking:
@@ -491,6 +493,12 @@ class TestSignalSet:
         for name in s.samples:
             assert np.array_equal(back[name], s[name])
 
+    def test_csv_round_trip_numpy_period(self):
+        # a numpy scalar period is written as its number, not its repr
+        s = SignalSet(period_s=np.float64(60.0), samples={"y": [1.0, 2.0]})
+        assert "# period_s=60.0\n" in s.to_csv()
+        assert SignalSet.from_csv(s.to_csv()).period_s == 60.0
+
     def test_csv_period_inferred_from_times(self):
         back = SignalSet.from_csv("t_s,y\n0,1.0\n60,2.0\n")
         assert back.period_s == 60.0
@@ -508,6 +516,9 @@ class TestSignalSet:
             SignalSet.from_csv("no header here\n")
         with pytest.raises(ValidationError):
             SignalSet.from_csv("t_s,y\n")
+        for text in ("y,t_s\n0,1\n", "t_s\n0\n1\n", "# period_s=x\nt_s,y\n0,1\n"):
+            with pytest.raises(ValidationError):
+                SignalSet.from_csv(text)
 
 
 class TestDecompose:
