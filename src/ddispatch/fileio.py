@@ -89,8 +89,9 @@ def write_csv(path, header, columns, formats, preamble=None) -> str:
 
 def read_csv(text: str):
     """Preamble (a dict of strings), header and rows (a 2-d float array) of
-    :func:`write_csv` text; blank lines are skipped, and every row needs one
-    finite number per column."""
+    :func:`write_csv` text in this format version; blank lines are skipped,
+    every row needs one finite number per column, and text that states no
+    version is read as this one."""
     preamble, header, rows = {}, None, []
     with malformed("CSV"):
         for line in text.splitlines():
@@ -100,7 +101,8 @@ def read_csv(text: str):
             if line.startswith("#"):
                 key, _, value = line[1:].partition("=")
                 preamble[key.strip()] = value.strip()
-            elif header is None:
+            elif header is None:  # the preamble is over: check its version
+                _supported(field(preamble, "format_version", int, FORMAT_VERSION))
                 header = [h.strip() for h in line.split(",")]
             else:
                 rows.append([float(v) for v in line.split(",")])
@@ -139,9 +141,13 @@ def document(doc, payload: str) -> dict:
     version; a document that states no version is read as this one."""
     if not isinstance(doc, dict) or doc.get("payload") != payload:
         raise ValidationError(f"not a {payload} document")
-    if field(doc, "format_version", integer, FORMAT_VERSION) != FORMAT_VERSION:
-        raise ValidationError(f"unsupported format version {doc['format_version']!r}")
+    _supported(field(doc, "format_version", integer, FORMAT_VERSION))
     return doc
+
+
+def _supported(version: int):
+    if version != FORMAT_VERSION:
+        raise ValidationError(f"unsupported format version {version!r}")
 
 
 def field(doc: dict, key: str, cast, default):

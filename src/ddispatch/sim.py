@@ -6,9 +6,12 @@ the broadcast command without forming it: the pmf is pushed through the
 nonzeros of the tilted jump kernel, O(nnz) a step, and mixed with itself at
 the sampling rate.  A fleet advances N independent agents through the rows
 of the per-step kernel read on its nonzeros, each agent searching only its
-row's nonzero columns.  Neither plant builds a d x d kernel.  The tracking
-harness wraps either plant in a simple saturated controller whose default
-gains come from the DC gain of the command-to-power linearization.
+row's nonzero columns.  Neither plant builds a d x d kernel.  A fleet
+rollout or tracking run keeps the agents' states and the search's work
+arrays for the whole run and rewrites them in place, so a step allocates
+only its N draws.  The tracking harness wraps either plant in a simple
+saturated controller whose default gains come from the DC gain of the
+command-to-power linearization.
 """
 
 from __future__ import annotations
@@ -148,8 +151,9 @@ def meanfield_rollout(family, zetas, mu0: Pmf | None = None):
 
 # -- finite fleets ---------------------------------------------------------
 
-#: most agents ``fleet_init`` accepts: a fleet step holds ~50 bytes an agent
-#: (states, draws and the search positions), so 0.5 GB at this maximum
+#: most agents ``fleet_init`` accepts: a fleet rollout peaks at ~42 bytes an
+#: agent (tracemalloc at N = 10^6: the states, the row search's four work
+#: arrays and one step's draws), so about 0.42 GB at this maximum
 MAX_FLEET_SIZE = 10**7
 
 
@@ -192,14 +196,12 @@ def fleet_step(state: FleetState, zeta: float, family, rng) -> tuple[FleetState,
     Each agent consumes exactly one uniform draw (inverse transform through
     its row's cumulative sums on ``family.step_support``), so trajectories
     are bitwise reproducible for a given stream and N = 1 reduces to a
-    textbook chain sampler.  Returns the new fleet and its average power.
+    textbook chain sampler.  This is one step of a fresh :class:`_FleetRun`:
+    ``state`` is left as it is.  Returns the new fleet and its average power.
     """
-    values = family.step_values_at(zeta)
-    u = rng.random(state.n)
-    nxt = _inverse_transform(values, _row_layout(family.step_support), state.states, u)
-    out = FleetState(nxt)
-    util = as_values(family.space.util, family.space.dim)
-    return out, float(util[nxt].mean())
+    run = _FleetRun(family, state.states)
+    y = run.step(zeta, rng)
+    return FleetState(run.states), y
 
 
 class _RowLayout(NamedTuple):
@@ -232,43 +234,85 @@ def _row_layout(support: Nonzeros) -> _RowLayout:
     return last[1]
 
 
-def _inverse_transform(values: np.ndarray, layout: _RowLayout, rows: np.ndarray,
-                       u: np.ndarray) -> np.ndarray:
-    """Per agent, the count of its row's cumulative sums below its ``u``,
-    capped at d - 1 so dust in the row sum cannot leave the state space.
+class _FleetRun:
+    """A fleet stepping through one family: the agents' states and the row
+    search's work arrays, allocated once and rewritten in place every step,
+    so a step allocates only its draws.
 
-    ``values`` holds a kernel at the nonzeros ``layout`` lays out, so a
-    row's sums rise only at those columns, and for u > 0 the count is the
-    first such column whose sum reaches u, or d - 1 when none does.  Each
-    row keeps its values, padded with +inf (read as column d - 1), and is
-    summed in place: bitwise the dense row's sums, which only add zeros
-    between them.  A branch-free binary search counts the sums below u in
-    ceil(log2(k + 1)) gathers of N entries, for k the most nonzeros in a
-    row, plus one to read the column.  A draw u = 0.0 is below no sum, so
-    it lands in column 0 even where that has no mass.
+    The states are checked to lie in the state space when the run starts;
+    every index the search builds from them then stays in range, which is
+    what lets each gather pass ``mode="clip"`` (under the default
+    ``"raise"`` numpy buffers the ``out=`` array, and a step takes nearly
+    twice as long).
     """
-    width = layout.width
-    table = np.full(layout.columns.size, np.inf)
-    table[layout.slots] = values
-    flat = np.cumsum(table.reshape(-1, width), axis=1).ravel()
-    pos = rows * width
-    step = width >> 1
-    while step:
-        pos += step * (flat.take(pos + (step - 1)) < u)
-        step >>= 1
-    nxt = layout.columns.take(pos)
-    nxt[u == 0.0] = 0
-    return nxt
+
+    def __init__(self, family, states: np.ndarray):
+        d = family.space.dim
+        lo, hi = states.min(), states.max()
+        if lo < 0 or hi >= d:
+            raise ValidationError(f"agent states must lie in [0, {d}), got {lo}..{hi}")
+        self.family = family
+        self.layout = _row_layout(family.step_support)
+        self.util = as_values(family.space.util, d)
+        n = states.size
+        self.states = states.astype(np.int64)   # a copy: the caller's stays
+        self.pos = np.empty(n, dtype=np.int64)
+        self.index = np.empty(n, dtype=np.int64)
+        self.gathered = np.empty(n)
+        self.hit = np.empty(n, dtype=bool)
+
+    @classmethod
+    def start(cls, family, n: int, seed: int, mu0: Pmf | None):
+        """The run of a fresh :func:`fleet_init` fleet, and the stream for
+        stepping it; the fleet's own copy of the states is not kept."""
+        state, rng = fleet_init(family, n, seed, mu0=mu0)
+        return cls(family, state.states), rng
+
+    def step(self, zeta: float, rng) -> float:
+        """Advance every agent one step at ``zeta``; returns the average power.
+
+        Per agent, the next state is the count of its row's cumulative sums
+        below its draw u, capped at d - 1 so dust in the row sum cannot
+        leave the state space.  The per-step kernel's values at the
+        nonzeros of ``family.step_support`` are laid out row by row, padded
+        with +inf (read as column d - 1), and summed in place: bitwise the
+        dense row's sums, which only add zeros between them.  A branch-free
+        binary search counts the sums below u in ceil(log2(k + 1)) gathers
+        of N entries, for k the most nonzeros in a row, plus one to read the
+        column.  A draw u = 0.0 is below no sum, so it lands in column 0
+        even where that has no mass.
+        """
+        layout = self.layout
+        width = layout.width
+        table = np.full(layout.columns.size, np.inf)
+        table[layout.slots] = self.family.step_values_at(zeta)
+        u = rng.random(self.states.size)
+        flat = np.cumsum(table.reshape(-1, width), axis=1).ravel()
+        pos, index, gathered, hit = self.pos, self.index, self.gathered, self.hit
+        np.multiply(self.states, width, out=pos)
+        step = width >> 1
+        while step:
+            np.add(pos, step - 1, out=index)
+            flat.take(index, out=gathered, mode="clip")
+            np.less(gathered, u, out=hit)
+            np.multiply(hit, step, out=index)
+            pos += index
+            step >>= 1
+        layout.columns.take(pos, out=self.states, mode="clip")
+        np.equal(u, 0.0, out=hit)
+        np.copyto(self.states, 0, where=hit)
+        self.util.take(self.states, out=gathered, mode="clip")
+        return float(gathered.mean())
 
 
 def fleet_rollout(family, zetas, n: int, seed: int, mu0: Pmf | None = None):
     """Run a fleet through a command sequence; returns power and final state."""
     zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
-    state, rng = fleet_init(family, n, seed, mu0=mu0)
+    run, rng = _FleetRun.start(family, n, seed, mu0)
     y = np.empty(zetas.size)
     for t, z in enumerate(zetas):
-        state, y[t] = fleet_step(state, float(z), family, rng)
-    return y, state
+        y[t] = run.step(float(z), rng)
+    return y, FleetState(run.states)
 
 
 # -- reference tracking ----------------------------------------------------
@@ -334,7 +378,7 @@ def track(family, reference, config: TrackingConfig | None = None,
         lo, hi = 0.9 * grid[0], 0.9 * grid[-1]
 
     if plant == "fleet":
-        state, rng = fleet_init(family, n, seed, mu0=pi0)
+        run, rng = _FleetRun.start(family, n, seed, pi0)
     else:
         mu = pi0
 
@@ -358,7 +402,7 @@ def track(family, reference, config: TrackingConfig | None = None,
             if config.anti_windup:
                 integ += z - raw
         if plant == "fleet":
-            state, y_t = fleet_step(state, z, family, rng)
+            y_t = run.step(z, rng)
         else:
             mu, y_t = meanfield_step(mu, z, family)
         zeta[t] = z

@@ -566,6 +566,8 @@ class TestSimulate:
         {"mode": "constant", "family": None, "plant": "fleet", "n": 0},
         {"mode": "constant", "family": None, "plant": "fleet", "n": 10**7 + 1},
         {"mode": "track", "family": None, "plant": "fleet", "n": 10**12},
+        {"mode": "track", "family": None, "plant": "fleet", "n": 50, "steps": 30,
+         "period_s": -5},
     ], ids=["no_family", "steps_not_integer", "top_level_list", "controller_list",
             "steps_negative", "settle_not_below_steps", "settle_negative",
             "seed_negative", "seed_fractional", "zeta_nan", "amplitude_inf",
@@ -575,7 +577,8 @@ class TestSimulate:
             "ki_false", "zeta_limit_true", "family_number", "family_null",
             "family_list", "period_s_zero", "period_s_negative",
             "steps_above_maximum", "steps_huge", "trajectory_steps_huge",
-            "fleet_n_zero", "fleet_n_above_maximum", "fleet_n_huge"])
+            "fleet_n_zero", "fleet_n_above_maximum", "fleet_n_huge",
+            "fleet_period_s_negative"])
     def test_malformed_scenario(self, workdir, tmp_path, capsys, monkeypatch, doc):
         # a document that names its payload is written as it is; in the
         # others a "family" key names the working family.  Every field is
@@ -589,6 +592,7 @@ class TestSimulate:
         steps = []
         for name in ("meanfield_step", "fleet_step"):
             monkeypatch.setattr(sim_module, name, lambda *args: steps.append(1))
+        monkeypatch.setattr(sim_module._FleetRun, "step", lambda *args: steps.append(1))
         assert run(["simulate", "--scenario", scenario,
                     "--out", tmp_path / "x.csv"]) == 3
         assert "Traceback" not in capsys.readouterr().err
@@ -651,6 +655,18 @@ class TestDecompose:
         assert run(["decompose", "--signal", sig, "--lp-cutoff", "1e-4",
                     "--hp-cutoff", "1e-3", "--out", tmp_path / "o.csv"]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_unsupported_signal_version(self, tmp_path, capsys):
+        sig = tmp_path / "sig.csv"
+        self.make_signal(sig)
+        text = sig.read_text()
+        assert text.startswith("# format_version=1\n")
+        sig.write_text(text.replace("format_version=1", "format_version=99", 1))
+        out = tmp_path / "o.csv"
+        assert run(["decompose", "--signal", sig, "--lp-cutoff", "1e-4",
+                    "--hp-cutoff", "1e-3", "--out", out]) == 3
+        assert "unsupported format version 99" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_signal_file(self, tmp_path):
         assert run(["decompose", "--signal", tmp_path / "no.csv",

@@ -59,6 +59,15 @@ class TestReadCsv:
         with pytest.raises(ValidationError):
             read_csv(text)
 
+    @pytest.mark.parametrize("version", ["0", "2", "99"])
+    def test_rejects_other_versions(self, version):
+        with pytest.raises(ValidationError, match=f"unsupported format version {version}$"):
+            read_csv(f"# format_version={version}\nt_s,y\n0,1\n")
+
+    def test_no_version_reads_as_this_one(self):
+        assert read_csv("t_s,y\n0,1\n")[1] == ["t_s", "y"]
+        assert read_csv("# format_version=1\nt_s,y\n0,1\n")[1] == ["t_s", "y"]
+
 
 class TestJson:
     def test_file_is_the_canonical_form(self, tmp_path):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ddispatch import BadCutoffs, NonFinite, OutOfGrid, ValidationError
-from ddispatch import design, markov
+from ddispatch import design, markov, sim
 from ddispatch.design import (DesignFamily, LoadStateSpace, build_exponential_family,
                               geometric_compose, solve_design_ode)
 from ddispatch.linearize import dc_gain, linearize, transfer_eval
@@ -367,6 +368,85 @@ class TestFleet:
         for n in (0, MAX_FLEET_SIZE + 1, 10**12):
             with pytest.raises(ValidationError, match="fleet size"):
                 fleet_init(fam, n, seed=0)
+
+    def test_states_out_of_range_rejected(self, fam):
+        d = fam.space.dim
+        for states in ([-1, 0], [d, 0], [0, 1, d + 5]):
+            with pytest.raises(ValidationError, match="agent states"):
+                fleet_step(FleetState(states), 0.0, fam, np.random.default_rng(0))
+
+    def test_step_leaves_its_input(self, fam):
+        state, rng = fleet_init(fam, 500, seed=4)
+        before = state.states.copy()
+        out, _ = fleet_step(state, 0.3, fam, rng)
+        assert np.array_equal(state.states, before)
+        assert not np.shares_memory(out.states, state.states)
+        assert not np.array_equal(out.states, before)
+
+    @staticmethod
+    def _chain(family, zetas, n, seed, mu0):
+        """Power and final states of ``fleet_step`` called once per command."""
+        state, rng = fleet_init(family, n, seed, mu0=mu0)
+        y = []
+        for z in zetas:
+            state, y_t = fleet_step(state, float(z), family, rng)
+            y.append(y_t)
+        return np.array(y), state.states
+
+    def test_rollout_is_a_chain_of_steps(self, fam):
+        zetas = 0.7 * np.sin(0.3 * np.arange(40))
+        for family in TestMeanfieldStep._families(fam):
+            mu0 = family.pi_at(0.2)
+            y, end = fleet_rollout(family, zetas, n=700, seed=6, mu0=mu0)
+            y_chain, end_chain = self._chain(family, zetas, 700, 6, mu0)
+            assert y.tobytes() == y_chain.tobytes()
+            assert end.states.tobytes() == end_chain.tobytes()
+
+    def test_tracking_fleet_is_a_chain_of_steps(self, fam, monkeypatch):
+        # the loop's commands replayed through fleet_step give its output
+        # and its final states bitwise
+        runs = []
+
+        class Recorded(sim._FleetRun):
+            def __init__(self, *args):
+                super().__init__(*args)
+                runs.append(self)
+
+        reference = 0.03 * np.sin(0.2 * np.arange(40))
+        for family in TestMeanfieldStep._families(fam):
+            runs.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(sim, "_FleetRun", Recorded)
+                out = track(family, reference, plant="fleet", n=700, seed=8)
+            assert len(runs) == 1
+            y_chain, end_chain = self._chain(family, out["zeta"], 700, 8,
+                                             linearize(family, 0.0).pi)
+            assert out["output"].tobytes() == y_chain.tobytes()
+            assert runs[0].states.tobytes() == end_chain.tobytes()
+
+    def test_steps_allocate_only_the_draws(self, fam, monkeypatch):
+        # at N = 10^5, steps 2 to 20 of a run may allocate at most 16 bytes
+        # an agent above what the run holds after step 1 (8 are the draws)
+        n, calls, marks = 100_000, [], {}
+        step_values_at = DesignFamily.step_values_at
+
+        def marked(self, zeta):
+            calls.append(zeta)
+            if len(calls) == 2:        # step 1 done
+                marks["after_first"] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            elif len(calls) == 21:     # steps 2 to 20 done
+                marks["peak"] = tracemalloc.get_traced_memory()[1]
+            return step_values_at(self, zeta)
+
+        monkeypatch.setattr(DesignFamily, "step_values_at", marked)
+        tracemalloc.start()
+        try:
+            fleet_rollout(fam, 0.3 * np.ones(21), n=n, seed=2)
+        finally:
+            tracemalloc.stop()
+        rise = (marks["peak"] - marks["after_first"]) / n
+        assert rise <= 16.0, f"{rise:.1f} bytes an agent"
 
 
 class TestTracking:
