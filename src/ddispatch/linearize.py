@@ -426,6 +426,21 @@ def _schedule_solve(schedule: Schedule, model: LinearModel, zs: np.ndarray) -> n
     return v
 
 
+#: the last pattern planned and its bordered schedule: every command of a
+#: family shares one pattern, so a sweep over several commands plans once; a
+#: race between threads at worst plans it again
+_last_schedule: tuple[np.ndarray, Schedule] | None = None
+
+
+def _bordered_schedule(pattern: np.ndarray) -> Schedule:
+    """``_schedule(pattern, border=True)``, kept for the next call."""
+    global _last_schedule
+    last = _last_schedule
+    if last is None or not np.array_equal(last[0], pattern):
+        last = _last_schedule = (pattern, _schedule(pattern, border=True))
+    return last[1]
+
+
 def _transfer_sweep(model: LinearModel, zs: np.ndarray) -> tuple[np.ndarray, float]:
     """G at every z of ``zs`` (all on the unit circle) and the worst
     relative residual.
@@ -446,7 +461,7 @@ def _transfer_sweep(model: LinearModel, zs: np.ndarray) -> tuple[np.ndarray, flo
     reduction does not.
     """
     d = model.dim
-    schedule = _schedule(model.a != 0.0, border=True)
+    schedule = _bordered_schedule(model.a != 0.0)
     if schedule.work < d * d / 2:
         block_size = SCHEDULE_BLOCK
 

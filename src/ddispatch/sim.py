@@ -4,12 +4,11 @@ tracking, and causal frequency decomposition of reference signals.
 The distribution recursion propagates a pmf through the per-step kernel at
 the broadcast command without forming it: the pmf is pushed through the
 nonzeros of the tilted jump kernel, O(nnz) a step, and mixed with itself at
-the sampling rate.  A fleet advances N independent agents through the rows
-of the per-step kernel read on its nonzeros, each agent searching only its
-row's nonzero columns.  Neither plant builds a d x d kernel.  A fleet
-rollout or tracking run keeps the agents' states and the search's work
-arrays for the whole run and rewrites them in place, so a step allocates
-only its N draws.  The tracking harness wraps either plant in a simple
+the sampling rate.  A fleet of N independent agents is held as its
+occupancy counts, which are themselves a Markov chain: a step draws one
+multinomial per row of the per-step kernel read on its nonzeros, O(nnz)
+whatever N, and no array of a fleet run grows with N.  Neither plant
+builds a d x d kernel.  The tracking harness wraps either plant in a simple
 saturated controller whose default gains come from the DC gain of the
 command-to-power linearization.
 """
@@ -151,64 +150,96 @@ def meanfield_rollout(family, zetas, mu0: Pmf | None = None):
 
 # -- finite fleets ---------------------------------------------------------
 
-#: most agents ``fleet_init`` accepts: a fleet rollout peaks at ~42 bytes an
-#: agent (tracemalloc at N = 10^6: the states, the row search's four work
-#: arrays and one step's draws), so about 0.42 GB at this maximum
+#: most agents a fleet holds.  A step's time and memory do not grow with N
+#: (it draws one multinomial per row of the per-step kernel), so this bounds
+#: no allocation; it keeps N within the sizes the tests run (up to 10^6) and
+#: every count exact in the float64 sums that scatter a step's draws
 MAX_FLEET_SIZE = 10**7
 
 
 @dataclass(frozen=True, eq=False)
 class FleetState:
-    """States of N independent agents, as flat state indices."""
+    """N exchangeable agents, held as the number of agents in each state.
 
-    states: np.ndarray
+    The counts must be nonnegative whole numbers summing to between 1 and
+    ``MAX_FLEET_SIZE``; a step checks that there is one count per state.
+    """
+
+    counts: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.states, dtype=np.int64)
+        arr = np.asarray(self.counts)
+        if arr.ndim != 1 or arr.size < 1:
+            raise ValidationError("need a 1-d vector of state counts")
+        if arr.dtype.kind not in "iuf":
+            raise ValidationError(f"state counts must be numbers, got {arr.dtype}")
+        with np.errstate(invalid="ignore"):
+            counts = arr.astype(np.int64)
+        if not np.array_equal(counts, arr):
+            raise ValidationError("state counts must be whole numbers")
+        if counts.min() < 0:
+            raise ValidationError(f"state counts must be nonnegative, got {counts.min()}")
+        if not 1 <= counts.sum() <= MAX_FLEET_SIZE:
+            raise ValidationError(
+                f"fleet size must lie in [1, {MAX_FLEET_SIZE}], got {counts.sum()}")
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def from_states(cls, states, dim: int) -> "FleetState":
+        """The fleet of agents in the given states of a ``dim``-state space."""
+        arr = np.asarray(states, dtype=np.int64)
         if arr.ndim != 1 or arr.size < 1:
             raise ValidationError("need a 1-d vector of agent states")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "states", arr)
+        lo, hi = arr.min(), arr.max()
+        if lo < 0 or hi >= dim:
+            raise ValidationError(f"agent states must lie in [0, {dim}), got {lo}..{hi}")
+        return cls(np.bincount(arr, minlength=dim))
 
     @property
     def n(self) -> int:
-        return self.states.size
+        return int(self.counts.sum())
 
     def empirical_pmf(self, dim: int) -> Pmf:
-        counts = np.bincount(self.states, minlength=dim)
-        return Pmf(counts / self.n)
+        if dim != self.counts.size:
+            raise ValidationError(f"fleet has {self.counts.size} states, not {dim}")
+        return Pmf(self.counts / self.n)
 
 
 def fleet_init(family, n: int, seed: int, mu0: Pmf | None = None):
-    """Draw initial agent states i.i.d. and return the stream for stepping."""
+    """Draw n agents i.i.d. from mu0 (default: the nominal invariant pmf) as
+    one multinomial on its support, and return the stream for stepping."""
     if not 1 <= n <= MAX_FLEET_SIZE:
         raise ValidationError(f"fleet size must lie in [1, {MAX_FLEET_SIZE}], got {n}")
     mu = family.pi_at(0.0) if mu0 is None else mu0
     rng = np.random.default_rng(seed)
-    states = rng.choice(family.space.dim, size=n, p=mu.weights)
-    return FleetState(states), rng
+    support = np.flatnonzero(mu.weights > 0.0)
+    counts = np.zeros(mu.dim, dtype=np.int64)
+    counts[support] = rng.multinomial(n, np.minimum(mu.weights[support], 1.0))
+    return FleetState(counts), rng
 
 
 def fleet_step(state: FleetState, zeta: float, family, rng) -> tuple[FleetState, float]:
     """Advance every agent one step through its kernel row.
 
-    Each agent consumes exactly one uniform draw (inverse transform through
-    its row's cumulative sums on ``family.step_support``), so trajectories
-    are bitwise reproducible for a given stream and N = 1 reduces to a
-    textbook chain sampler.  This is one step of a fresh :class:`_FleetRun`:
+    The agents are exchangeable, so the counts are a Markov chain: the
+    agents in state x move as one multinomial draw of their number over
+    row x of the per-step kernel, read on ``family.step_support``.  A step
+    costs O(nnz) whatever N, and the result is bitwise reproducible for a
+    given stream.  This is one step of a fresh :class:`_FleetRun`:
     ``state`` is left as it is.  Returns the new fleet and its average power.
     """
-    run = _FleetRun(family, state.states)
+    run = _FleetRun(family, state.counts)
     y = run.step(zeta, rng)
-    return FleetState(run.states), y
+    return FleetState(run.counts), y
 
 
 class _RowLayout(NamedTuple):
     """Nonzeros laid out row by row in a table ``width`` entries wide, the
-    least power of two above the longest row.  Nonzero k sits at
-    ``slots[k]`` of the flattened table; ``columns`` holds the column of
-    every table entry, d - 1 on the padding."""
+    most nonzeros in a row, each row right-aligned: nonzero k sits at
+    ``slots[k]`` of the flattened table, and every row's last nonzero in
+    the table's last column.  ``columns`` holds the column of every table
+    entry, 0 on the padding."""
 
     width: int
     slots: np.ndarray
@@ -226,83 +257,61 @@ def _row_layout(support: Nonzeros) -> _RowLayout:
     last = _last_layout
     if last is None or last[0] is not support:
         d, r = support.starts.size, support.rows
-        width = 1 << int(np.bincount(r, minlength=d).max()).bit_length()
-        slots = r * width + (np.arange(r.size) - support.starts[r])
-        columns = np.full(d * width, d - 1)
+        lengths = np.bincount(r, minlength=d)
+        width = int(lengths.max())
+        ends = support.starts + lengths
+        slots = r * width + (width - ends[r] + np.arange(r.size))
+        columns = np.zeros(d * width, dtype=np.int64)
         columns[slots] = support.cols
         last = _last_layout = (support, _RowLayout(width, slots, columns))
     return last[1]
 
 
 class _FleetRun:
-    """A fleet stepping through one family: the agents' states and the row
-    search's work arrays, allocated once and rewritten in place every step,
-    so a step allocates only its draws.
+    """A fleet stepping through one family, held as its state counts.
 
-    The states are checked to lie in the state space when the run starts;
-    every index the search builds from them then stays in range, which is
-    what lets each gather pass ``mode="clip"`` (under the default
-    ``"raise"`` numpy buffers the ``out=`` array, and a step takes nearly
-    twice as long).
+    A step allocates only arrays of the per-step kernel's table size, so
+    neither its time nor its memory grows with N.
     """
 
-    def __init__(self, family, states: np.ndarray):
+    def __init__(self, family, counts: np.ndarray):
         d = family.space.dim
-        lo, hi = states.min(), states.max()
-        if lo < 0 or hi >= d:
-            raise ValidationError(f"agent states must lie in [0, {d}), got {lo}..{hi}")
+        if counts.size != d:
+            raise ValidationError(f"fleet has {counts.size} state counts, expected {d}")
         self.family = family
         self.layout = _row_layout(family.step_support)
         self.util = as_values(family.space.util, d)
-        n = states.size
-        self.states = states.astype(np.int64)   # a copy: the caller's stays
-        self.pos = np.empty(n, dtype=np.int64)
-        self.index = np.empty(n, dtype=np.int64)
-        self.gathered = np.empty(n)
-        self.hit = np.empty(n, dtype=bool)
+        self.counts = counts.astype(np.int64)   # a copy: the caller's stays
+        self.n = int(self.counts.sum())
 
     @classmethod
     def start(cls, family, n: int, seed: int, mu0: Pmf | None):
         """The run of a fresh :func:`fleet_init` fleet, and the stream for
-        stepping it; the fleet's own copy of the states is not kept."""
+        stepping it."""
         state, rng = fleet_init(family, n, seed, mu0=mu0)
-        return cls(family, state.states), rng
+        return cls(family, state.counts), rng
 
     def step(self, zeta: float, rng) -> float:
-        """Advance every agent one step at ``zeta``; returns the average power.
+        """Advance the fleet one step at ``zeta``; returns the average power.
 
-        Per agent, the next state is the count of its row's cumulative sums
-        below its draw u, capped at d - 1 so dust in the row sum cannot
-        leave the state space.  The per-step kernel's values at the
-        nonzeros of ``family.step_support`` are laid out row by row, padded
-        with +inf (read as column d - 1), and summed in place: bitwise the
-        dense row's sums, which only add zeros between them.  A branch-free
-        binary search counts the sums below u in ceil(log2(k + 1)) gathers
-        of N entries, for k the most nonzeros in a row, plus one to read the
-        column.  A draw u = 0.0 is below no sum, so it lands in column 0
-        even where that has no mass.
+        The per-step kernel's values are laid out in the row table and each
+        row's count is drawn over its row by one ``rng.multinomial`` call.
+        numpy takes a row's last entry as one minus the others, which the
+        right-aligned layout makes the row's last nonzero: the dust of a
+        row sum off one lands there, never off the support, and the others
+        sum to at most one (numpy refuses more).  Values are capped at one,
+        which a self-loop can exceed by an ulp.  The draws are then summed
+        into their columns.
         """
         layout = self.layout
-        width = layout.width
-        table = np.full(layout.columns.size, np.inf)
+        table = np.zeros(layout.columns.size)
         table[layout.slots] = self.family.step_values_at(zeta)
-        u = rng.random(self.states.size)
-        flat = np.cumsum(table.reshape(-1, width), axis=1).ravel()
-        pos, index, gathered, hit = self.pos, self.index, self.gathered, self.hit
-        np.multiply(self.states, width, out=pos)
-        step = width >> 1
-        while step:
-            np.add(pos, step - 1, out=index)
-            flat.take(index, out=gathered, mode="clip")
-            np.less(gathered, u, out=hit)
-            np.multiply(hit, step, out=index)
-            pos += index
-            step >>= 1
-        layout.columns.take(pos, out=self.states, mode="clip")
-        np.equal(u, 0.0, out=hit)
-        np.copyto(self.states, 0, where=hit)
-        self.util.take(self.states, out=gathered, mode="clip")
-        return float(gathered.mean())
+        np.minimum(table, 1.0, out=table)
+        moved = rng.multinomial(self.counts, table.reshape(-1, layout.width))
+        arrived = np.bincount(layout.columns, weights=moved.ravel(),
+                              minlength=self.counts.size)
+        self.counts = arrived.astype(np.int64)
+        return float(self.counts @ self.util) / self.n
 
 
 def fleet_rollout(family, zetas, n: int, seed: int, mu0: Pmf | None = None):
@@ -312,7 +321,7 @@ def fleet_rollout(family, zetas, n: int, seed: int, mu0: Pmf | None = None):
     y = np.empty(zetas.size)
     for t, z in enumerate(zetas):
         y[t] = run.step(float(z), rng)
-    return y, FleetState(run.states)
+    return y, FleetState(run.counts)
 
 
 # -- reference tracking ----------------------------------------------------

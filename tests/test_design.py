@@ -288,7 +288,7 @@ class TestSupportTilt:
         space = simple_space([0.0, 1.0])
         fam = build_exponential_family(base, space, "custom", 1.0, step=1.0,
                                        generator=[0.0, 800.0])
-        fleet = FleetState([0, 1])
+        fleet = FleetState.from_states([0, 1], 2)
         for use in (fam.jump_values_at, fam.jump_kernel_at, fam.step_values_at,
                     fam.kernel_at, fam.pi_at,
                     lambda z: fleet_step(fleet, z, fam, np.random.default_rng(0))):

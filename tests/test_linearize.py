@@ -636,6 +636,28 @@ class TestScheduleSweep:
         # the reverse order's fill has filled the border row already
         assert markov._schedule(mask, border=True).work == schedule.work
 
+    def test_one_plan_per_pattern(self, pool_family, monkeypatch):
+        # the commands of one family share their pattern: three sweeps plan
+        # one schedule, bitwise the schedule each would plan alone
+        plans = []
+        schedule = markov._schedule
+
+        def counted(mask, border=False):
+            plans.append(border)
+            return schedule(mask, border)
+
+        models = [linearize(pool_family, z) for z in (-0.05, 0.0, 0.05)]
+        alone = [positive_real_check(m, theta_count=64).g_values for m in models]
+        monkeypatch.setattr(linearize_module, "_last_schedule", None)
+        monkeypatch.setattr(linearize_module, "_schedule", counted)
+        for model, want in zip(models, alone):
+            got = positive_real_check(model, theta_count=64).g_values
+            assert got.tobytes() == want.tobytes()
+        assert plans == [True]
+        positive_real_check(chain_model(lazy_cycle(6), np.random.default_rng(1)),
+                            theta_count=64)
+        assert plans == [True, True]  # a new pattern is planned
+
     def test_border_fills_only_its_row(self):
         # a birth-death pattern, which eliminates without fill
         mask = (np.eye(20, k=-1) + np.eye(20, k=1)) != 0.0
