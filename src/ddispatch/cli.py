@@ -61,6 +61,12 @@ from .sim import (MAX_FLEET_SIZE, SignalSet, TrackingConfig, fleet_rollout,  # n
 #: signals and their CSV text), so 0.4 GB at this maximum
 MAX_STEPS = 10**6
 
+#: most angles one ``analyze`` run holds, its commands times
+#: ``--theta-count``: each command keeps its angles until the Bode CSV is
+#: written, ~0.5 kB a command and angle at that write, so ~0.7 GB at this
+#: maximum (three commands of MAX_THETA_COUNT angles)
+MAX_ANALYZE_ANGLES = 3 * MAX_THETA_COUNT
+
 
 def _number(cast, noun: str, low: float = 0.0, what: str = "positive and finite",
             high: float = np.inf):
@@ -247,6 +253,11 @@ def cmd_design(ns) -> int:
 
 
 def cmd_analyze(ns) -> int:
+    angles = len(ns.zeta) * ns.theta_count
+    if angles > MAX_ANALYZE_ANGLES:
+        print(f"error: {len(ns.zeta)} commands of {ns.theta_count} angles hold "
+              f"{angles} angles, more than {MAX_ANALYZE_ANGLES}", file=sys.stderr)
+        return EXIT_PARSE
     family = load_family(ns.family)
     responses = []
     results = []

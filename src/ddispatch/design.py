@@ -86,6 +86,11 @@ _GRID_SNAP = 1e-7
 #: grid points tilted and solved together by ``DesignFamily.ubars``
 GRID_BLOCK = 64
 
+#: most points a command grid holds.  Saving a family peaks at ~8 kB a point
+#: on the 96-state pool model: its h_grid row (0.8 kB), that row as Python
+#: floats (3 kB) and its JSON text (2 kB), so ~0.5 GB at this maximum
+MAX_GRID_POINTS = 60_001
+
 ODE_KINDS = ("ipd", "spd")
 GENERATOR_KINDS = ("myopic", "ipd0", "custom")
 
@@ -621,7 +626,11 @@ def _command_grid(zeta_max: float, step: float) -> np.ndarray:
         raise ValidationError("step must be positive")
     if zeta_max < step:
         raise ValidationError("zeta_max must be at least one step")
-    n = int(round(zeta_max / step))
+    ratio = zeta_max / step
+    if not 2.0 * ratio + 1.0 < MAX_GRID_POINTS + 0.5:  # an infinite or NaN ratio fails too
+        raise ValidationError(f"a command grid to {zeta_max:g} at step {step:g} has "
+                              f"{2.0 * ratio + 1.0:.4g} points, more than {MAX_GRID_POINTS}")
+    n = int(round(ratio))
     if abs(n * step - zeta_max) > 1e-9 * max(1.0, zeta_max):
         raise ValidationError("zeta_max must be an integer multiple of step")
     return step * np.arange(-n, n + 1)

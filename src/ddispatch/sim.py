@@ -1,16 +1,14 @@
 """Closed-loop simulation: distribution flow, finite fleets, reference
 tracking, and causal frequency decomposition of reference signals.
 
-The distribution recursion propagates a pmf through the per-step kernel at
-the broadcast command without forming it: the pmf is pushed through the
-nonzeros of the tilted jump kernel, O(nnz) a step, and mixed with itself at
-the sampling rate.  A fleet of N independent agents is held as its
-occupancy counts, which are themselves a Markov chain: a step draws one
-multinomial per row of the per-step kernel read on its nonzeros, O(nnz)
-whatever N, and no array of a fleet run grows with N.  Neither plant
-builds a d x d kernel.  The tracking harness wraps either plant in a simple
-saturated controller whose default gains come from the DC gain of the
-command-to-power linearization.
+Both plants step on one per-step kernel, read once a step on its nonzeros
+by ``family.step_values_at``: the distribution recursion pushes a pmf
+through it, O(nnz) a step, and a fleet of N independent agents, held as
+its occupancy counts (themselves a Markov chain), draws one multinomial per
+row of it, O(nnz) whatever N.  Neither plant builds a d x d kernel, and no
+fleet array grows with N.  The tracking harness wraps either plant in a
+simple saturated controller whose default gains come from the DC gain of
+the command-to-power linearization.
 """
 
 from __future__ import annotations
@@ -114,23 +112,20 @@ class SignalSet:
 def meanfield_step(mu: Pmf, zeta: float, family) -> tuple[Pmf, float]:
     """One step of the distribution recursion at a fixed command.
 
-    mu P for the per-step kernel P = (1 - rate) I + rate S, with S the jump
-    kernel: mu is pushed through the nonzeros of S that
-    ``family.jump_values_at`` gives, in O(nnz) and with no d x d kernel
-    built, then mixed with itself at the sampling rate.  Returns the
-    propagated pmf and the average power it assigns.  The unit sum is
-    restored each step so roundoff cannot accumulate over long runs.
+    mu P for the per-step kernel P: mu is pushed through the nonzeros of P
+    that ``family.step_values_at`` gives, the values a fleet step draws
+    from, in O(nnz) and with no d x d kernel built.  Returns the propagated
+    pmf and the average power it assigns.  The unit sum is restored each
+    step so roundoff cannot accumulate over long runs.
     """
-    support = family.support
-    w = mu.weights
-    flow = w[support.rows] * family.jump_values_at(zeta)
-    jumped = np.bincount(support.cols, weights=flow, minlength=w.size)
-    rate = family.structure.sampling_rate
-    w = (1.0 - rate) * w + rate * jumped
+    d = family.space.dim
+    if mu.dim != d:
+        raise ValidationError(f"pmf has {mu.dim} states, expected {d}")
+    support = family.step_support
+    flow = mu.weights[support.rows] * family.step_values_at(zeta)
+    w = np.bincount(support.cols, weights=flow, minlength=d)
     w = w / w.sum()
-    out = Pmf(w)
-    util = as_values(family.space.util, family.space.dim)
-    return out, float(w @ util)
+    return Pmf(w), float(w @ as_values(family.space.util, d))
 
 
 def meanfield_rollout(family, zetas, mu0: Pmf | None = None):
@@ -224,14 +219,30 @@ def fleet_step(state: FleetState, zeta: float, family, rng) -> tuple[FleetState,
 
     The agents are exchangeable, so the counts are a Markov chain: the
     agents in state x move as one multinomial draw of their number over
-    row x of the per-step kernel, read on ``family.step_support``.  A step
-    costs O(nnz) whatever N, and the result is bitwise reproducible for a
-    given stream.  This is one step of a fresh :class:`_FleetRun`:
-    ``state`` is left as it is.  Returns the new fleet and its average power.
+    row x of the per-step kernel, read on ``family.step_support``.  The
+    values ``family.step_values_at`` gives are laid out in a row table
+    (:class:`_RowLayout`) and every row's count is drawn by one
+    ``rng.multinomial`` call.  numpy takes a row's last entry as one minus
+    the others, which the right-aligned layout makes the row's last
+    nonzero: the dust of a row sum off one lands there, never off the
+    support, and the others sum to at most one (numpy refuses more).
+    Values are capped at one, which a self-loop can exceed by an ulp.  The
+    draws are then summed into their columns.  A step costs O(nnz) and
+    allocates nothing that grows with N, and the result is bitwise
+    reproducible for a given stream; ``state`` is left as it is.  Returns
+    the new fleet and its average power.
     """
-    run = _FleetRun(family, state.counts)
-    y = run.step(zeta, rng)
-    return FleetState(run.counts), y
+    d, counts = family.space.dim, state.counts
+    if counts.size != d:
+        raise ValidationError(f"fleet has {counts.size} state counts, expected {d}")
+    layout = _row_layout(family.step_support)
+    table = np.zeros(layout.columns.size)
+    table[layout.slots] = family.step_values_at(zeta)
+    np.minimum(table, 1.0, out=table)
+    moved = rng.multinomial(counts, table.reshape(-1, layout.width))
+    arrived = np.bincount(layout.columns, weights=moved.ravel(), minlength=d)
+    out = FleetState(arrived.astype(np.int64))
+    return out, float(out.counts @ as_values(family.space.util, d)) / state.n
 
 
 class _RowLayout(NamedTuple):
@@ -267,61 +278,14 @@ def _row_layout(support: Nonzeros) -> _RowLayout:
     return last[1]
 
 
-class _FleetRun:
-    """A fleet stepping through one family, held as its state counts.
-
-    A step allocates only arrays of the per-step kernel's table size, so
-    neither its time nor its memory grows with N.
-    """
-
-    def __init__(self, family, counts: np.ndarray):
-        d = family.space.dim
-        if counts.size != d:
-            raise ValidationError(f"fleet has {counts.size} state counts, expected {d}")
-        self.family = family
-        self.layout = _row_layout(family.step_support)
-        self.util = as_values(family.space.util, d)
-        self.counts = counts.astype(np.int64)   # a copy: the caller's stays
-        self.n = int(self.counts.sum())
-
-    @classmethod
-    def start(cls, family, n: int, seed: int, mu0: Pmf | None):
-        """The run of a fresh :func:`fleet_init` fleet, and the stream for
-        stepping it."""
-        state, rng = fleet_init(family, n, seed, mu0=mu0)
-        return cls(family, state.counts), rng
-
-    def step(self, zeta: float, rng) -> float:
-        """Advance the fleet one step at ``zeta``; returns the average power.
-
-        The per-step kernel's values are laid out in the row table and each
-        row's count is drawn over its row by one ``rng.multinomial`` call.
-        numpy takes a row's last entry as one minus the others, which the
-        right-aligned layout makes the row's last nonzero: the dust of a
-        row sum off one lands there, never off the support, and the others
-        sum to at most one (numpy refuses more).  Values are capped at one,
-        which a self-loop can exceed by an ulp.  The draws are then summed
-        into their columns.
-        """
-        layout = self.layout
-        table = np.zeros(layout.columns.size)
-        table[layout.slots] = self.family.step_values_at(zeta)
-        np.minimum(table, 1.0, out=table)
-        moved = rng.multinomial(self.counts, table.reshape(-1, layout.width))
-        arrived = np.bincount(layout.columns, weights=moved.ravel(),
-                              minlength=self.counts.size)
-        self.counts = arrived.astype(np.int64)
-        return float(self.counts @ self.util) / self.n
-
-
 def fleet_rollout(family, zetas, n: int, seed: int, mu0: Pmf | None = None):
     """Run a fleet through a command sequence; returns power and final state."""
     zetas = np.atleast_1d(np.asarray(zetas, dtype=float))
-    run, rng = _FleetRun.start(family, n, seed, mu0)
+    state, rng = fleet_init(family, n, seed, mu0=mu0)
     y = np.empty(zetas.size)
     for t, z in enumerate(zetas):
-        y[t] = run.step(float(z), rng)
-    return y, FleetState(run.counts)
+        state, y[t] = fleet_step(state, float(z), family, rng)
+    return y, state
 
 
 # -- reference tracking ----------------------------------------------------
@@ -387,9 +351,15 @@ def track(family, reference, config: TrackingConfig | None = None,
         lo, hi = 0.9 * grid[0], 0.9 * grid[-1]
 
     if plant == "fleet":
-        run, rng = _FleetRun.start(family, n, seed, pi0)
+        state, rng = fleet_init(family, n, seed, pi0)
+
+        def step(fleet, z):
+            return fleet_step(fleet, z, family, rng)
     else:
-        mu = pi0
+        state = pi0
+
+        def step(mu, z):
+            return meanfield_step(mu, z, family)
 
     steps = r_frac.size
     r_abs = ubar0 * (1.0 + r_frac)
@@ -410,10 +380,7 @@ def track(family, reference, config: TrackingConfig | None = None,
             integ += ki * err
             if config.anti_windup:
                 integ += z - raw
-        if plant == "fleet":
-            y_t = run.step(z, rng)
-        else:
-            mu, y_t = meanfield_step(mu, z, family)
+        state, y_t = step(state, z)
         zeta[t] = z
         y[t] = y_t
         y_prev = y_t

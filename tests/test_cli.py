@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from ddispatch import cli as cli_module
 from ddispatch.cli import main
 from ddispatch.design import load_family
 from ddispatch.errors import SingularSystem
@@ -197,6 +198,16 @@ class TestDesign:
                     "--out", tmp_path / "f.json"]) == 2
         assert f"argument {flag}: must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("zeta_max", ["1e5", "1e9"])
+    def test_grid_above_maximum(self, workdir, tmp_path, capsys, zeta_max):
+        out = tmp_path / "f.json"
+        assert run(["design", "--model", workdir["model"], "--kind", "myopic",
+                    "--zeta-max", zeta_max, "--step", "0.01", "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert "points, more than 60001" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_raw_pool_ipd_reaches_wide_grids(self, tmp_path):
         # no --util-scale: the design rate solves no invariant pmf
         model, out = tmp_path / "pool.json", tmp_path / "f.json"
@@ -376,6 +387,22 @@ class TestAnalyze:
         assert ("argument --theta-count: must be an integer of at least 2 and at "
                 "most 500000" in err)
         assert not (tmp_path / "b.csv").exists()
+
+    def test_angles_above_run_maximum(self, workdir, tmp_path, capsys, monkeypatch):
+        # commands x --theta-count is bounded as a whole, before the family is read
+        read = []
+        monkeypatch.setattr(cli_module, "load_family", lambda path: read.append(path))
+        assert run(["analyze", "--family", workdir["family"], "--zeta", "0", "0.1", "0.2",
+                    "0.3", "--theta-count", "500000", "--out", tmp_path / "b.csv"]) == 2
+        assert ("4 commands of 500000 angles hold 2000000 angles, more than 1500000"
+                in capsys.readouterr().err)
+        assert read == []
+        assert not (tmp_path / "b.csv").exists()
+        monkeypatch.undo()
+        monkeypatch.setattr(cli_module, "MAX_ANALYZE_ANGLES", 64)
+        for zetas, code in ((["0", "0.1"], 0), (["0", "0.1", "0.2"], 2)):
+            assert run(["analyze", "--family", workdir["family"], "--zeta", *zetas,
+                        "--theta-count", "32", "--out", tmp_path / "b.csv"]) == code
 
     def test_zeta_required(self, workdir, tmp_path):
         assert run(["analyze", "--family", workdir["family"],
@@ -592,7 +619,6 @@ class TestSimulate:
         steps = []
         for name in ("meanfield_step", "fleet_step"):
             monkeypatch.setattr(sim_module, name, lambda *args: steps.append(1))
-        monkeypatch.setattr(sim_module._FleetRun, "step", lambda *args: steps.append(1))
         assert run(["simulate", "--scenario", scenario,
                     "--out", tmp_path / "x.csv"]) == 3
         assert "Traceback" not in capsys.readouterr().err

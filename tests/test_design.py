@@ -452,6 +452,20 @@ class TestDesignOde:
         with pytest.raises(ValidationError):
             solve_design_ode(base, space, "ipd", 1.0, step=0.3)
 
+    def test_grid_above_maximum_rejected(self):
+        # refused before the grid is allocated: 1e9 / 0.01 would be 1.6 TB
+        base = two_state(0.3, 0.4)
+        space = simple_space([0.0, 1.0])
+        for zeta_max in (1e5, 1e9, math.inf):
+            for build in (lambda: solve_design_ode(base, space, "ipd", zeta_max, step=0.01),
+                          lambda: build_exponential_family(base, space, "myopic", zeta_max,
+                                                           step=0.01)):
+                with pytest.raises(ValidationError, match="more than 60001"):
+                    build()
+        top = 0.01 * (design_module.MAX_GRID_POINTS - 1) / 2
+        fam = build_exponential_family(base, space, "myopic", top, step=0.01)
+        assert fam.zeta_grid.size == design_module.MAX_GRID_POINTS
+
     def test_spd_with_exo_warns(self, rng):
         space, base, _, _ = product_space(rng)
         with pytest.warns(UserWarning):

@@ -72,6 +72,15 @@ class TestMeanfieldStep:
         with pytest.raises(OutOfGrid):
             meanfield_step(fam.pi_at(0.0), 2.0, fam)
 
+    def test_wrong_dimension_rejected(self, fam):
+        d = fam.space.dim
+        for size in (d + 1, d - 1):
+            mu = Pmf(np.ones(size) / size)
+            with pytest.raises(ValidationError, match=f"pmf has {size} states, expected {d}"):
+                meanfield_step(mu, 0.0, fam)
+            with pytest.raises(ValidationError, match=f"pmf has {size} states, expected {d}"):
+                meanfield_rollout(fam, np.zeros(3), mu0=mu)
+
     @staticmethod
     def _families(fam):
         """Direct, composed and exogenous-coordinate families."""
@@ -418,24 +427,38 @@ class TestFleet:
     def test_tracking_fleet_is_a_chain_of_steps(self, fam, monkeypatch):
         # the loop's commands replayed through fleet_step give its output
         # and its final counts bitwise
-        runs = []
-
-        class Recorded(sim._FleetRun):
-            def __init__(self, *args):
-                super().__init__(*args)
-                runs.append(self)
-
         reference = 0.03 * np.sin(0.2 * np.arange(40))
         for family in TestMeanfieldStep._families(fam):
-            runs.clear()
+            states = []
+
+            def recorded(*args):
+                out = fleet_step(*args)
+                states.append(out[0])
+                return out
+
             with monkeypatch.context() as patch:
-                patch.setattr(sim, "_FleetRun", Recorded)
+                patch.setattr(sim, "fleet_step", recorded)
                 out = track(family, reference, plant="fleet", n=700, seed=8)
-            assert len(runs) == 1
             y_chain, end_chain = self._chain(family, out["zeta"], 700, 8,
                                              linearize(family, 0.0).pi)
             assert out["output"].tobytes() == y_chain.tobytes()
-            assert runs[0].counts.tobytes() == end_chain.tobytes()
+            assert states[-1].counts.tobytes() == end_chain.tobytes()
+
+    def test_one_fleet_step_per_command(self, fam, monkeypatch):
+        # both fleet loops step through sim.fleet_step, once per command
+        commands = []
+
+        def counted(state, zeta, family, rng):
+            commands.append(zeta)
+            return fleet_step(state, zeta, family, rng)
+
+        monkeypatch.setattr(sim, "fleet_step", counted)
+        zetas = 0.5 * np.sin(0.3 * np.arange(25))
+        fleet_rollout(fam, zetas, n=300, seed=1)
+        assert commands == zetas.tolist()
+        commands.clear()
+        out = track(fam, 0.02 * np.ones(17), plant="fleet", n=300, seed=1)
+        assert commands == out["zeta"].tolist()
 
     def test_steps_allocate_only_the_draws(self, fam, monkeypatch):
         # a step allocates nothing that scales with N: the tracemalloc peak
