@@ -4,13 +4,31 @@ Builds zeta-parameterized families of Markov transition kernels for loads
 (individual-optimality, smoothed, and exponential designs), linearizes the
 resulting mean-field dynamics, checks passivity of the input-output response,
 and simulates mean-field and finite-fleet tracking loops.
+
+Importing the package copies ``DDISPATCH_THREADS`` into the unset BLAS
+thread variables before any submodule imports numpy; no other code of the
+package touches the environment.
 """
+
+import os
 
 __version__ = "0.1.0"
 
-# first, so that cli applies the thread cap before numpy loads its BLAS
-from . import cli  # noqa: F401
-from .errors import (
+
+def _apply_thread_cap():
+    cap = os.environ.get("DDISPATCH_THREADS")
+    if not cap:
+        return
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        os.environ.setdefault(var, cap)
+
+
+# numpy reads the BLAS thread variables when it loads
+_apply_thread_cap()
+
+from . import cli  # noqa: E402,F401
+from .errors import (  # noqa: E402
     AdjointProductReducible,
     BadCutoffs,
     DispatchError,
@@ -27,7 +45,7 @@ from .errors import (
     ValidationError,
     ZeroMass,
 )
-from .markov import (
+from .markov import (  # noqa: E402
     Pmf,
     StateFunction,
     StochasticMatrix,
@@ -42,7 +60,7 @@ from .markov import (
     poisson_solve,
     relative_entropy_rate,
 )
-from .design import (
+from .design import (  # noqa: E402
     DesignFamily,
     FamilyStructure,
     LoadStateSpace,
@@ -60,7 +78,7 @@ from .design import (
     spd_map,
     tilt,
 )
-from .linearize import (
+from .linearize import (  # noqa: E402
     FrequencyResponse,
     LinearModel,
     b_adjoint_form,
@@ -74,7 +92,7 @@ from .linearize import (
     psd,
     transfer_eval,
 )
-from .loads import (
+from .loads import (  # noqa: E402
     LoadModel,
     NatureKernel,
     PoolModelSpec,
@@ -89,7 +107,7 @@ from .loads import (
     tcl_trajectory,
     trajectory_to_csv,
 )
-from .sim import (
+from .sim import (  # noqa: E402
     FleetState,
     SignalSet,
     TrackingConfig,

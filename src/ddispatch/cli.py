@@ -1,12 +1,9 @@
 """Command line front end: build load models, synthesize design families,
 analyze their linearizations, run simulations, and decompose signals.
 
-The thread cap from ``DDISPATCH_THREADS`` is applied at the top of this
-module, before its numpy import, and the package imports this module first,
-so the cap holds for ``python -m ddispatch``, the console script and
-``import ddispatch`` alike.  Exit codes are stable: 0 success, 2 argument or
-parse problems, 3 validation failures, 4 mathematical preconditions not met,
-5 design continuation divergence.
+Exit codes are stable: 0 success, 2 argument or parse problems, 3
+validation failures, 4 mathematical preconditions not met, 5 design
+continuation divergence.
 """
 
 from __future__ import annotations
@@ -17,45 +14,30 @@ import json
 import os
 import sys
 
+import numpy as np
+
+from .design import (DesignFamily, LoadStateSpace, _zero_direction,
+                     build_exponential_family, load_family, save_family,
+                     solve_design_ode)
+from .errors import DispatchError, IntegrationDiverged, ValidationError
+from .fileio import (boolean, document, envelope, field, finite, integer,
+                     json_object, malformed, numbers, read_json, string,
+                     write_json)
+from .linearize import (MAX_THETA_COUNT, MIN_THETA_COUNT, bode_export,
+                        linearize, positive_real_check)
+from .loads import (MAX_SAMPLES_PER_STATE, MIN_SAMPLES_PER_STATE,
+                    LoadModel, PoolModelSpec, TclModelSpec, build_pool_model,
+                    build_tcl_model, load_model, save_model, synthesis_inputs,
+                    tcl_trajectory, trajectory_to_csv)
+from .markov import StateFunction, StochasticMatrix, check_irreducible_aperiodic
+from .sim import (MAX_FLEET_SIZE, SignalSet, TrackingConfig, fleet_rollout,
+                  frequency_decompose, meanfield_rollout, track, tracking_metrics)
+
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_PRECONDITION = 4
 EXIT_DIVERGED = 5
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("DDISPATCH_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
-# numpy reads the BLAS thread variables when it loads
-_apply_thread_cap()
-
-import numpy as np  # noqa: E402
-
-from .design import (DesignFamily, LoadStateSpace, _zero_direction,  # noqa: E402
-                     build_exponential_family, load_family, save_family,
-                     solve_design_ode)
-from .errors import (BadCutoffs, DispatchError, IntegrationDiverged,  # noqa: E402
-                     LatticeMismatch, ValidationError)
-from .fileio import (boolean, document, envelope, field, finite,  # noqa: E402
-                     integer, json_object, malformed, numbers, read_json, string,
-                     write_json)
-from .linearize import (MAX_THETA_COUNT, MIN_THETA_COUNT, bode_export,  # noqa: E402
-                        linearize, positive_real_check)
-from .loads import (MAX_SAMPLES_PER_STATE, MIN_SAMPLES_PER_STATE,  # noqa: E402
-                    LoadModel, PoolModelSpec, TclModelSpec, build_pool_model,
-                    build_tcl_model, load_model, save_model, synthesis_inputs,
-                    tcl_trajectory, trajectory_to_csv)
-from .markov import (StateFunction, StochasticMatrix,  # noqa: E402
-                     check_irreducible_aperiodic)
-from .sim import (MAX_FLEET_SIZE, SignalSet, TrackingConfig, fleet_rollout,  # noqa: E402
-                  frequency_decompose, meanfield_rollout, track, tracking_metrics)
 
 #: most steps a scenario runs: a tracking run keeps ~0.4 kB a step (its
 #: signals and their CSV text), so 0.4 GB at this maximum
@@ -259,6 +241,8 @@ def cmd_analyze(ns) -> int:
               f"{angles} angles, more than {MAX_ANALYZE_ANGLES}", file=sys.stderr)
         return EXIT_PARSE
     family = load_family(ns.family)
+    for z in ns.zeta:
+        family.h_at(float(z))  # OutOfGrid before the first sweep
     responses = []
     results = []
     for z in ns.zeta:
@@ -447,7 +431,7 @@ def main(argv=None) -> int:
         print(f"error: design continuation diverged: {exc}{where}",
               file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValidationError, LatticeMismatch, BadCutoffs) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except DispatchError as exc:

@@ -43,6 +43,7 @@ from .fileio import (document, envelope, field, finite, integer, json_object,
 from .markov import (
     Nonzeros,
     Pmf,
+    RowLayout,
     Schedule,
     StateFunction,
     StochasticMatrix,
@@ -52,6 +53,7 @@ from .markov import (
     _lu_invariant,
     _poisson_raw,
     _reversal_raw,
+    _row_layout,
     _schedule,
     as_values,
     check_irreducible_aperiodic,
@@ -383,10 +385,11 @@ class DesignFamily:
     untilted per-step kernel; the tilt and invariant pmf at a command are
     computed and checked only when that command is used.  Invariant pmfs
     are solved by GTH on ``schedule``, one elimination plan for every
-    command.  ``ubars`` gives the mean output over the whole grid, solved
-    GRID_BLOCK points at a time.  Command values between grid
-    points use linear interpolation of h; values beyond the grid ends raise
-    :class:`OutOfGrid`.
+    command, and fleets draw on ``row_layout``, one row table for every
+    command; both are planned on first use and kept.  ``ubars`` gives the
+    mean output over the whole grid, solved GRID_BLOCK points at a time.
+    Command values between grid points use linear interpolation of h;
+    values beyond the grid ends raise :class:`OutOfGrid`.
     """
 
     def __init__(self, space: LoadStateSpace, base: StochasticMatrix, kind: str,
@@ -467,6 +470,12 @@ class DesignFamily:
         mask = np.zeros((d, d), dtype=bool)
         mask[step.rows, step.cols] = True
         return _schedule(mask)
+
+    @functools.cached_property
+    def row_layout(self) -> RowLayout:
+        """Row table of ``step_support``, which a fleet step draws each
+        row's agents over."""
+        return _row_layout(self.step_support)
 
     @functools.cached_property
     def ubars(self) -> np.ndarray:

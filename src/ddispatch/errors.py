@@ -3,7 +3,7 @@
 Every error raised on purpose derives from DispatchError so callers (and the
 command line front end) can map failures to stable exit codes:
 
-  * ValidationError and its kin signal malformed inputs,
+  * ValidationError and its subclasses signal malformed inputs,
   * the remaining subclasses signal violated mathematical preconditions,
   * IntegrationDiverged signals a runaway continuation run.
 """
@@ -66,9 +66,9 @@ class InfeasibleDutyCycle(DispatchError):
     """No switching curve reproduces the requested mean cycle length."""
 
 
-class LatticeMismatch(DispatchError):
+class LatticeMismatch(ValidationError):
     """Temperature lattice parameters are inconsistent with the state count."""
 
 
-class BadCutoffs(DispatchError):
+class BadCutoffs(ValidationError):
     """Band-split cutoff frequencies are missing, unordered, or nonpositive."""

@@ -7,7 +7,9 @@ dynamics, and C reads out the centered per-state output.  This module
 builds that model from a :class:`~ddispatch.design.DesignFamily`,
 evaluates its transfer function on and off the unit circle, computes
 output power spectral densities, and certifies the positive-real bound
-that makes system-perspective designs safe to close a loop around.
+that makes system-perspective designs safe to close a loop around.  A
+result depends on its arguments alone: every sweep plans the elimination
+of its own model's pattern, whatever ran before it.
 """
 
 from __future__ import annotations
@@ -426,27 +428,13 @@ def _schedule_solve(schedule: Schedule, model: LinearModel, zs: np.ndarray) -> n
     return v
 
 
-#: the last pattern planned and its bordered schedule: every command of a
-#: family shares one pattern, so a sweep over several commands plans once; a
-#: race between threads at worst plans it again
-_last_schedule: tuple[np.ndarray, Schedule] | None = None
-
-
-def _bordered_schedule(pattern: np.ndarray) -> Schedule:
-    """``_schedule(pattern, border=True)``, kept for the next call."""
-    global _last_schedule
-    last = _last_schedule
-    if last is None or not np.array_equal(last[0], pattern):
-        last = _last_schedule = (pattern, _schedule(pattern, border=True))
-    return last[1]
-
-
 def _transfer_sweep(model: LinearModel, zs: np.ndarray) -> tuple[np.ndarray, float]:
     """G at every z of ``zs`` (all on the unit circle) and the worst
     relative residual.
 
     Same deflated system as :func:`transfer_eval`, on one of two paths:
-    - on the bordered elimination schedule of A's pattern
+    - on the bordered elimination schedule of A's pattern, which each
+      sweep plans for itself (~3 ms on the pool per-step kernel)
       (:func:`_schedule_solve`, SCHEDULE_BLOCK z at a time), when
       eliminating one z there touches fewer entries than the d^2 / 2 a
       Hessenberg solve does: 475 against 4 608 on the pool per-step kernel;
@@ -461,7 +449,7 @@ def _transfer_sweep(model: LinearModel, zs: np.ndarray) -> tuple[np.ndarray, flo
     reduction does not.
     """
     d = model.dim
-    schedule = _bordered_schedule(model.a != 0.0)
+    schedule = _schedule(model.a != 0.0, border=True)
     if schedule.work < d * d / 2:
         block_size = SCHEDULE_BLOCK
 

@@ -8,7 +8,10 @@ sharing a support.  For many kernels on one support, :func:`_schedule` plans
 a pivot-free elimination once and :func:`_gth` runs it, batched, to find
 their invariant distributions: design families solve every pmf they use
 this way, by GTH state reduction, and the direct solve is left to
-:func:`invariant_pmf` and the spd rule's time reversal.  Values are
+:func:`invariant_pmf` and the spd rule's time reversal.
+:func:`_row_layout` lays a support out as the row table a fleet step draws
+from.  Both plans are pure functions of a pattern, kept by the object that
+owns it (a design family keeps its own), never by this module.  Values are
 immutable and safe to share between threads.  A kernel's support mask,
 nonzeros and structure report are computed on first use and kept; a race
 between threads at worst computes the same value twice.
@@ -430,6 +433,30 @@ def _schedule(mask: np.ndarray, border: bool = False) -> Schedule:
     size = int(np.count_nonzero(filled))
     return Schedule(slots, size, tuple(pivots),
                     size + sum(p.targets.size for p in pivots))
+
+
+class RowLayout(NamedTuple):
+    """Nonzeros laid out row by row in a table ``width`` entries wide, the
+    most nonzeros in a row, each row right-aligned: nonzero k sits at
+    ``slots[k]`` of the flattened table, and every row's last nonzero in
+    the table's last column.  ``columns`` holds the column of every table
+    entry, 0 on the padding."""
+
+    width: int
+    slots: np.ndarray
+    columns: np.ndarray
+
+
+def _row_layout(support: Nonzeros) -> RowLayout:
+    """:class:`RowLayout` of the nonzeros ``support``."""
+    d, r = support.starts.size, support.rows
+    lengths = np.bincount(r, minlength=d)
+    width = int(lengths.max())
+    ends = support.starts + lengths
+    slots = r * width + (width - ends[r] + np.arange(r.size))
+    columns = np.zeros(d * width, dtype=np.int64)
+    columns[slots] = support.cols
+    return RowLayout(width, slots, columns)
 
 
 def _column_sums(x: np.ndarray) -> np.ndarray:

@@ -5,24 +5,24 @@ Both plants step on one per-step kernel, read once a step on its nonzeros
 by ``family.step_values_at``: the distribution recursion pushes a pmf
 through it, O(nnz) a step, and a fleet of N independent agents, held as
 its occupancy counts (themselves a Markov chain), draws one multinomial per
-row of it, O(nnz) whatever N.  Neither plant builds a d x d kernel, and no
-fleet array grows with N.  The tracking harness wraps either plant in a
-simple saturated controller whose default gains come from the DC gain of
-the command-to-power linearization.
+row of it, laid out in the row table the family keeps
+(``family.row_layout``), O(nnz) whatever N.  Neither plant builds a d x d kernel, no fleet
+array grows with N, and this module keeps no state between calls.  The
+tracking harness wraps either plant in a simple saturated controller whose
+default gains come from the DC gain of the command-to-power linearization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadCutoffs, ValidationError
 from .fileio import field, read_csv, write_csv
 from .linearize import dc_gain, linearize
-from .markov import Nonzeros, Pmf, as_values
+from .markov import Pmf, as_values
 
 __all__ = [
     "SignalSet",
@@ -220,8 +220,8 @@ def fleet_step(state: FleetState, zeta: float, family, rng) -> tuple[FleetState,
     The agents are exchangeable, so the counts are a Markov chain: the
     agents in state x move as one multinomial draw of their number over
     row x of the per-step kernel, read on ``family.step_support``.  The
-    values ``family.step_values_at`` gives are laid out in a row table
-    (:class:`_RowLayout`) and every row's count is drawn by one
+    values ``family.step_values_at`` gives are laid out in the family's row
+    table (``family.row_layout``) and every row's count is drawn by one
     ``rng.multinomial`` call.  numpy takes a row's last entry as one minus
     the others, which the right-aligned layout makes the row's last
     nonzero: the dust of a row sum off one lands there, never off the
@@ -235,7 +235,7 @@ def fleet_step(state: FleetState, zeta: float, family, rng) -> tuple[FleetState,
     d, counts = family.space.dim, state.counts
     if counts.size != d:
         raise ValidationError(f"fleet has {counts.size} state counts, expected {d}")
-    layout = _row_layout(family.step_support)
+    layout = family.row_layout
     table = np.zeros(layout.columns.size)
     table[layout.slots] = family.step_values_at(zeta)
     np.minimum(table, 1.0, out=table)
@@ -243,39 +243,6 @@ def fleet_step(state: FleetState, zeta: float, family, rng) -> tuple[FleetState,
     arrived = np.bincount(layout.columns, weights=moved.ravel(), minlength=d)
     out = FleetState(arrived.astype(np.int64))
     return out, float(out.counts @ as_values(family.space.util, d)) / state.n
-
-
-class _RowLayout(NamedTuple):
-    """Nonzeros laid out row by row in a table ``width`` entries wide, the
-    most nonzeros in a row, each row right-aligned: nonzero k sits at
-    ``slots[k]`` of the flattened table, and every row's last nonzero in
-    the table's last column.  ``columns`` holds the column of every table
-    entry, 0 on the padding."""
-
-    width: int
-    slots: np.ndarray
-    columns: np.ndarray
-
-
-#: the last support laid out and its layout: a rollout steps one family, so
-#: its layout is built once; a race between threads at worst rebuilds it
-_last_layout: tuple[Nonzeros, _RowLayout] | None = None
-
-
-def _row_layout(support: Nonzeros) -> _RowLayout:
-    """:class:`_RowLayout` of the nonzeros ``support``, kept for the next call."""
-    global _last_layout
-    last = _last_layout
-    if last is None or last[0] is not support:
-        d, r = support.starts.size, support.rows
-        lengths = np.bincount(r, minlength=d)
-        width = int(lengths.max())
-        ends = support.starts + lengths
-        slots = r * width + (width - ends[r] + np.arange(r.size))
-        columns = np.zeros(d * width, dtype=np.int64)
-        columns[slots] = support.cols
-        last = _last_layout = (support, _RowLayout(width, slots, columns))
-    return last[1]
 
 
 def fleet_rollout(family, zetas, n: int, seed: int, mu0: Pmf | None = None):

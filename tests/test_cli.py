@@ -359,6 +359,17 @@ class TestAnalyze:
         assert run(["analyze", "--family", workdir["family"], "--zeta", "5",
                     "--out", tmp_path / "b.csv"]) == 4
 
+    def test_every_command_checked_before_the_first_sweep(self, workdir, tmp_path,
+                                                          capsys, monkeypatch):
+        swept = []
+        monkeypatch.setattr(cli_module, "positive_real_check",
+                            lambda model, **kw: swept.append(model.zeta))
+        assert run(["analyze", "--family", workdir["family"], "--zeta", "0", "0.5", "5",
+                    "--out", tmp_path / "b.csv"]) == 4
+        assert "OutOfGrid: command 5 outside" in capsys.readouterr().err
+        assert swept == []
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("period", ["inf", "nan"])
     def test_sample_period_must_be_finite(self, workdir, tmp_path, period):
         assert run(["analyze", "--family", workdir["family"], "--zeta", "0",
@@ -511,6 +522,24 @@ class TestSimulate:
                     "--metrics", tmp_path / "m.json"]) == 0
         metrics = read_json(tmp_path / "m.json")["metrics"]
         assert "rms_error" in metrics
+
+    def test_track_without_antiwindup(self, workdir, tmp_path):
+        # a reference out of reach holds the command at its limit; without
+        # anti-windup the integrator keeps it there after the reference drops
+        zetas = {}
+        for anti_windup in (True, False):
+            scenario = workdir["root"] / f"windup_{anti_windup}.json"
+            write_json(scenario, {
+                "format_version": 1, "payload": "scenario", "mode": "track",
+                "family": "family.json", "steps": 120,
+                "reference": {"kind": "square", "amplitude": 2.0, "period_steps": 120},
+                "controller": {"kind": "pi", "anti_windup": anti_windup},
+            })
+            out = tmp_path / f"{anti_windup}.csv"
+            assert run(["simulate", "--scenario", scenario, "--out", out]) == 0
+            zetas[anti_windup] = SignalSet.from_csv(out.read_text())["zeta"]
+        limit = zetas[True].max()
+        assert (zetas[False][60:] == limit).sum() > (zetas[True][60:] == limit).sum()
 
     def test_sine_reference_column(self, workdir, tmp_path):
         scenario = workdir["root"] / "sine.json"
@@ -732,7 +761,7 @@ class TestDeterminism:
 
 class TestEntryPoint:
     def test_thread_cap_env(self, monkeypatch):
-        from ddispatch.cli import _apply_thread_cap
+        from ddispatch import _apply_thread_cap
 
         monkeypatch.setenv("DDISPATCH_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -778,6 +807,22 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert "decompose" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "loaded: []"
+
+    def test_no_hidden_module_state(self):
+        # no module rebinds its globals at run time, and only the package
+        # init touches the environment (the thread cap, before numpy loads)
+        package = pathlib.Path(importlib.import_module("ddispatch").__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Global):
+                    found.append(f"{path.name}:{node.lineno} global {', '.join(node.names)}")
+                elif path.name != "__init__.py" and (
+                        isinstance(node, ast.Attribute) and ast.unparse(node) == "os.environ"
+                        or isinstance(node, ast.ImportFrom) and node.module == "os"
+                        and "environ" in {a.name for a in node.names}):
+                    found.append(f"{path.name}:{node.lineno} os.environ")
+        assert found == []
 
     def test_only_fileio_writes_or_hashes(self):
         # the on-disk formats live in one module: no other module writes a

@@ -553,6 +553,23 @@ class TestFamilyContainer:
             DesignFamily(space, base, "ipd", FamilyStructure(),
                          grid, np.zeros((3, 2)))
 
+    def test_one_point_family(self, tmp_path):
+        # a grid of one command loads, evaluates there and nowhere else
+        base = two_state(0.3, 0.4)
+        h = np.array([0.0, 0.7])
+        fam = DesignFamily(simple_space([0.0, 1.0]), base, "ipd", FamilyStructure(),
+                           [0.25], h[None])
+        save_family(fam, tmp_path / "f.json")
+        loaded = load_family(tmp_path / "f.json")
+        assert np.array_equal(loaded.h_at(0.25), h)
+        want, _ = tilt(base, lift_control(loaded.space, h))
+        assert np.abs(loaded.kernel_at(0.25).entries - want.entries).max() <= 1e-15
+        assert loaded.ubar_at(0.25) == pytest.approx(invariant_pmf(want).weights[1],
+                                                     abs=1e-15)
+        for zeta in (-0.25, 0.75):
+            with pytest.raises(OutOfGrid):
+                loaded.h_at(zeta)
+
     def test_structure_validation(self):
         with pytest.raises(ValidationError):
             FamilyStructure(sampling="composed")

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 from ddispatch.errors import ValidationError
-from ddispatch.fileio import (envelope, model_digest, read_csv, read_json, write_csv,
-                              write_json)
+from ddispatch.fileio import (atomic_write_text, envelope, model_digest, read_csv,
+                              read_json, write_csv, write_json)
 
 EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
         1.0 / 3.0, -2.0 / 3.0, 0.1, 123456789.123456789, 1e-7, 1e16 + 2.0]
@@ -83,3 +84,21 @@ class TestJson:
     def test_envelope(self):
         assert envelope("metrics", metrics={}) == {
             "format_version": 1, "payload": "metrics", "metrics": {}}
+
+
+class TestAtomicWrite:
+    def test_failed_rename_leaves_the_original(self, tmp_path, monkeypatch):
+        # the text goes to a temporary file that is removed when the rename
+        # fails, so the old file stays whole and nothing is left beside it
+        path = tmp_path / "d.json"
+        path.write_text("old")
+
+        def refuse(src, dst):
+            assert os.path.exists(src)
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_text(path, "new")
+        assert path.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]

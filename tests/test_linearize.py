@@ -258,6 +258,23 @@ class TestTransferEval:
         assert abs(at_one - nearby) <= 1e-5
         assert at_one == pytest.approx(beta / (1.0 - lam), abs=1e-12)
 
+    def test_origin_is_undeflated(self):
+        # at z = 0 the solve is -A v = B: G(0) = -C A^-1 B
+        model = chain_model(random_chain(np.random.default_rng(47), 4),
+                            np.random.default_rng(48))
+        g, gp = transfer_eval(model, 0.0)
+        want = -model.c @ np.linalg.solve(model.a, model.b)
+        assert abs(g - want) <= 1e-12 * abs(want)
+        assert gp == 0.0
+
+    def test_origin_refused_for_singular_a(self):
+        # two equal kernel rows make A = P^T singular
+        p = random_chain(np.random.default_rng(49), 4).entries.copy()
+        p[1] = p[0]
+        model = chain_model(StochasticMatrix(p), np.random.default_rng(50))
+        with pytest.raises(NearSingular, match="at z = 0j"):
+            transfer_eval(model, 0.0)
+
     def test_dc_gain(self):
         model, lam, beta = two_state_model()
         assert dc_gain(model) == pytest.approx(beta / (1.0 - lam), abs=1e-12)
@@ -636,9 +653,10 @@ class TestScheduleSweep:
         # the reverse order's fill has filled the border row already
         assert markov._schedule(mask, border=True).work == schedule.work
 
-    def test_one_plan_per_pattern(self, pool_family, monkeypatch):
-        # the commands of one family share their pattern: three sweeps plan
-        # one schedule, bitwise the schedule each would plan alone
+    def test_one_plan_per_sweep(self, pool_family, monkeypatch):
+        # every positive_real_check plans its own model's pattern once,
+        # whatever ran before it, so a sweep repeated after others gives
+        # the same values bitwise
         plans = []
         schedule = markov._schedule
 
@@ -647,16 +665,12 @@ class TestScheduleSweep:
             return schedule(mask, border)
 
         models = [linearize(pool_family, z) for z in (-0.05, 0.0, 0.05)]
-        alone = [positive_real_check(m, theta_count=64).g_values for m in models]
-        monkeypatch.setattr(linearize_module, "_last_schedule", None)
         monkeypatch.setattr(linearize_module, "_schedule", counted)
-        for model, want in zip(models, alone):
-            got = positive_real_check(model, theta_count=64).g_values
-            assert got.tobytes() == want.tobytes()
-        assert plans == [True]
-        positive_real_check(chain_model(lazy_cycle(6), np.random.default_rng(1)),
-                            theta_count=64)
-        assert plans == [True, True]  # a new pattern is planned
+        first = [positive_real_check(m, theta_count=64).g_values for m in models]
+        assert plans == [True] * 3
+        again = positive_real_check(models[0], theta_count=64).g_values
+        assert plans == [True] * 4
+        assert again.tobytes() == first[0].tobytes()
 
     def test_border_fills_only_its_row(self):
         # a birth-death pattern, which eliminates without fill

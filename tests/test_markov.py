@@ -11,6 +11,9 @@ from ddispatch.errors import (
     ZeroMass,
 )
 from ddispatch.markov import (
+    INVARIANT_TOL,
+    PMF_TOL,
+    InvariantSolve,
     Pmf,
     StateFunction,
     StochasticMatrix,
@@ -23,6 +26,7 @@ from ddispatch.markov import (
     invariant_pmf,
     poisson_solve,
     relative_entropy_rate,
+    _checked_invariant_raw,
 )
 
 from conftest import cycle_chain, random_chain, sparse_random_chain, two_state
@@ -154,6 +158,17 @@ class TestInvariantPmf:
     def test_reducible_rejected(self):
         with pytest.raises(NotIrreducible):
             invariant_pmf(StochasticMatrix(np.eye(3)))
+
+    @pytest.mark.parametrize("weights,residual,message", [
+        ([0.5, np.nan, 0.5], 0.0, "non-normalizable vector"),
+        ([0.5, 0.5], 2.0 * INVARIANT_TOL, "invariant residual"),
+        ([1.0 + 10 * PMF_TOL, -10 * PMF_TOL], 0.0, "weight -1.000e-11 < 0"),
+    ], ids=["non_finite", "residual", "negative"])
+    def test_checked_solve_refusals(self, weights, residual, message):
+        # each refusal names the place its caller gave
+        solve = InvariantSolve(np.array(weights), residual)
+        with pytest.raises(SingularSystem, match=f"{message}.* at command 0.25$"):
+            _checked_invariant_raw(solve, " at command 0.25")
 
 
 class TestFundamentalMatrix:

@@ -232,6 +232,7 @@ class TestFleet:
         support = Nonzeros(rows, cols, p[rows, cols], np.searchsorted(rows, np.arange(d)))
         return SimpleNamespace(
             step_support=support, step_values_at=lambda zeta: support.values,
+            row_layout=markov._row_layout(support),
             space=SimpleNamespace(dim=d, util=StateFunction(np.arange(d) + 1.0)))
 
     def test_draws_match_dense_kernel(self, fam):
@@ -318,7 +319,7 @@ class TestFleet:
         p[4, -1] = 1.0                     # a row whose only mass is the last column
         p /= p.sum(axis=1, keepdims=True)
         support = StochasticMatrix(p).nonzeros
-        layout = sim._row_layout(support)
+        layout = markov._row_layout(support)
         width = layout.width
         assert width == (p > 0.0).sum(axis=1).max()
         table = np.zeros(d * width)
@@ -539,6 +540,18 @@ class TestTracking:
         # once the reference drops, the loop must unwind promptly
         err_frac = out["error"] / fam.ubar_at(0.0)
         assert np.abs(err_frac[250:]).max() < 0.02
+
+    def test_integrator_winds_up_without_antiwindup(self, fam):
+        # the same run without back-calculation keeps integrating while the
+        # command is held at its limit, so it stays saturated for longer
+        # after the reference drops, and is still off when the other has settled
+        r = np.concatenate([5.0 * np.ones(150), np.zeros(250)])
+        hi = 0.9 * fam.zeta_grid[-1]
+        runs = {aw: track(fam, r, TrackingConfig(anti_windup=aw)) for aw in (True, False)}
+        held = {aw: int(np.count_nonzero(out["zeta"] == hi)) for aw, out in runs.items()}
+        assert held[True] <= 150 < held[False]
+        late = {aw: np.abs(out["error"][250:]).max() for aw, out in runs.items()}
+        assert late[False] > 10.0 * late[True]
 
     def test_unsaturated_loop_can_leave_grid(self, fam):
         cfg = TrackingConfig(zeta_limit=50.0)
