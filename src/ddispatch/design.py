@@ -388,8 +388,11 @@ class DesignFamily:
     command, and fleets draw on ``row_layout``, one row table for every
     command; both are planned on first use and kept.  ``ubars`` gives the
     mean output over the whole grid, solved GRID_BLOCK points at a time.
-    Command values between grid points use linear interpolation of h;
-    values beyond the grid ends raise :class:`OutOfGrid`.
+    h is one C1 function of the command, built from ``h_grid`` alone: the
+    grid values, joined by the cubic Hermite interpolant on ``h_slopes``.
+    ``h_at`` reads it and ``h_rate_at`` its derivative, for every kind, so a
+    linear model is the derivative of the plant it describes.  Values beyond
+    the grid ends raise :class:`OutOfGrid`.
     """
 
     def __init__(self, space: LoadStateSpace, base: StochasticMatrix, kind: str,
@@ -515,12 +518,44 @@ class DesignFamily:
         lo = min(int(np.floor(pos)), len(g) - 2)
         return lo, pos - lo
 
+    @functools.cached_property
+    def h_slopes(self) -> np.ndarray:
+        """d h / d zeta at every grid point, from ``h_grid`` alone.
+
+        Fourth-order differences: central inside, and at the two points
+        nearest each end the derivative of the quartic through the five end
+        points.  Grids of two to four points take second-order differences
+        (``np.gradient``); a one-point grid has slope zero.
+        """
+        h, n = self.h_grid, len(self.h_grid)
+        if n < 5:
+            slopes = np.gradient(h, self.step, axis=0) if n > 1 else np.zeros_like(h)
+        else:
+            slopes = np.empty_like(h)
+            slopes[2:-2] = (h[:-4] - 8.0 * h[1:-3] + 8.0 * h[3:-1] - h[4:]) / (12.0 * self.step)
+            ends = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                             [-3.0, -10.0, 18.0, -6.0, 1.0]]) / (12.0 * self.step)
+            slopes[:2] = ends @ h[:5]
+            # mirrored: the last five points, reversed, with the step's sign flipped
+            slopes[:-3:-1] = -(ends @ h[:-6:-1])
+        slopes.setflags(write=False)
+        return slopes
+
     def h_at(self, zeta: float) -> np.ndarray:
-        """Design function at a command value (linear interpolation off-grid)."""
-        i, frac = self._locate(zeta)
-        if frac is None:
+        """Design function at a command value: the grid value on the grid, the
+        cubic Hermite interpolant on ``h_slopes`` between grid points."""
+        i, t = self._locate(zeta)
+        if t is None:
             return self.h_grid[i].copy()
-        return (1.0 - frac) * self.h_grid[i] + frac * self.h_grid[i + 1]
+        s, dz = 1.0 - t, self.step
+        return self._hermite(i, ((1.0 + 2.0 * t) * s * s, t * t * (3.0 - 2.0 * t),
+                                 dz * t * s * s, -dz * t * t * s))
+
+    def _hermite(self, i: int, weights) -> np.ndarray:
+        """``weights`` applied to h and its slope at grid points i and i + 1,
+        in the order h_i, h_i+1, slope_i, slope_i+1."""
+        nodes = np.concatenate((self.h_grid[i:i + 2], self.h_slopes[i:i + 2]))
+        return np.array(weights) @ nodes
 
     def pair_at(self, zeta: float) -> np.ndarray:
         """Lifted pair function driving the tilt at this command value."""
@@ -529,8 +564,8 @@ class DesignFamily:
     def jump_values_at(self, zeta: float) -> np.ndarray:
         """Jump kernel at a command on ``support``: one value per nonzero.
 
-        The values of the last command asked for are kept, so the per-step
-        kernel, invariant pmf and design rate of one command share one tilt.
+        The values of the last command asked for are kept, so the jump and
+        per-step kernels and the invariant pmf of one command share one tilt.
         """
         last = self._last_jump
         if last is not None and last[0] == zeta:
@@ -574,10 +609,15 @@ class DesignFamily:
         return self.pi_at(zeta).mean(self.space.util)
 
     def h_rate_at(self, zeta: float) -> np.ndarray:
-        """Derivative of the design function in the command, d h / d zeta."""
-        if self.kind in GENERATOR_KINDS:
-            return self.generator.copy()
-        return _design_rate(self.kind, self.space, self.support, self.jump_values_at(zeta))
+        """Derivative of the design function in the command, d h / d zeta: the
+        exact derivative of ``h_at``, so ``h_slopes`` on the grid.  It reads
+        ``h_grid`` only and runs no design rule; on a generator family
+        (h = zeta * generator) it gives the generator up to rounding."""
+        i, t = self._locate(zeta)
+        if t is None:
+            return self.h_slopes[i].copy()
+        chord = 6.0 * t * (1.0 - t) / self.step
+        return self._hermite(i, (-chord, chord, (1.0 - t) * (1.0 - 3.0 * t), t * (3.0 * t - 2.0)))
 
     def pair_rate_at(self, zeta: float) -> np.ndarray:
         """Lifted pair function of the command derivative of the design."""

@@ -81,8 +81,9 @@ def kernel_derivative(p: StochasticMatrix | np.ndarray, pair) -> np.ndarray:
 def family_kernel_derivative(family, zeta: float) -> np.ndarray:
     """Command derivative of the per-step kernel of a family at one command.
 
-    Uses the family's own rate function (the design map for ODE families,
-    the fixed direction for exponential ones), never finite differences.
+    Uses the family's own rate, ``h_rate_at``: the exact derivative of the
+    interpolant the plant steps on, for every kind, never a finite
+    difference of kernels and never a design-rule solve.
     The per-step kernel is a lazy mix of the jump kernel, so the jump
     kernel derivative is scaled by the sampling rate.
     """
@@ -143,8 +144,9 @@ class LinearModel:
 def linearize(family, zeta: float) -> LinearModel:
     """Linear response model of a design family at one command value.
 
-    The family keeps the last command's jump values, so the kernels, the
-    invariant pmf and the design rate below share one tilt.
+    The family keeps the last command's jump values, so the kernels and the
+    invariant pmf below share one tilt; the design rate reads ``h_grid``
+    only, so no design rule runs.
     """
     rate = family.structure.sampling_rate
     jump = family.jump_kernel_at(zeta)

@@ -34,6 +34,7 @@ from ddispatch.errors import (
     SingularSystem,
     ValidationError,
 )
+from ddispatch.linearize import linearize
 from ddispatch.loads import (PoolModelSpec, TclModelSpec, build_pool_model,
                              build_tcl_model, synthesis_inputs)
 from ddispatch.markov import (
@@ -405,6 +406,21 @@ class TestDesignOde:
             errs.append(np.abs(fd - rate).max())
         assert 2.5 <= errs[0] / errs[1] <= 5.5
 
+    def test_off_grid_matches_quarter_step_family(self):
+        # fourth order between grid points: 9e-8 measured, where a linear
+        # fill of the same grid errs by 1.7e-4
+        coarse, fine = ode_family(step=0.04), ode_family(step=0.01)
+        for k in range(len(fine.zeta_grid)):
+            if k % 4:
+                gap = np.abs(coarse.h_at(fine.zeta_grid[k]) - fine.h_grid[k]).max()
+                assert gap <= 1e-6
+
+    def test_optimality_holds_between_grid_points(self):
+        # 1e-11 to 1.1e-10 measured, where a linear fill of h gives 2e-6 to 1e-5
+        fam = ode_family(zeta_max=1.0, step=0.01)
+        for zeta in (-0.733, 0.005, 0.4567):
+            assert family_optimality_residual(fam, zeta) <= 1e-9
+
     def test_mean_output_increases_with_command(self):
         fam = ode_family(zeta_max=2.0, step=0.02)
         ubars = [fam.ubar_at(z) for z in np.linspace(-2.0, 2.0, 21)]
@@ -541,9 +557,14 @@ class TestFamilyContainer:
         on = fam.h_at(0.25)
         near = fam.h_at(0.25 + 1e-10)
         np.testing.assert_array_equal(on, near)
-        mid = fam.h_at(0.255)
+        # halfway between grid points the cubic Hermite interpolant is the
+        # chord's midpoint plus step / 8 times the difference of the slopes
+        i = 75
+        assert fam.zeta_grid[i] == pytest.approx(0.25, abs=1e-12)
+        h, m = fam.h_grid[i:i + 2], fam.h_slopes[i:i + 2]
         np.testing.assert_allclose(
-            mid, 0.5 * (fam.h_at(0.25) + fam.h_at(0.26)), atol=1e-14)
+            fam.h_at(0.255), 0.5 * (h[0] + h[1]) + fam.step / 8.0 * (m[0] - m[1]),
+            rtol=0.0, atol=1e-15)
 
     def test_rejects_nonuniform_grid(self):
         base = two_state(0.3, 0.4)
@@ -570,6 +591,15 @@ class TestFamilyContainer:
             with pytest.raises(OutOfGrid):
                 loaded.h_at(zeta)
 
+    def test_one_point_family_is_flat(self):
+        # no neighbour to difference against: slope zero, so b = 0
+        base = two_state(0.3, 0.4)
+        fam = DesignFamily(simple_space([0.0, 1.0]), base, "ipd", FamilyStructure(),
+                           [0.25], np.array([[0.0, 0.7]]))
+        assert np.array_equal(fam.h_slopes, np.zeros((1, 2)))
+        assert np.array_equal(fam.h_rate_at(0.25), np.zeros(2))
+        assert np.array_equal(linearize(fam, 0.25).b, np.zeros(2))
+
     def test_structure_validation(self):
         with pytest.raises(ValidationError):
             FamilyStructure(sampling="composed")
@@ -588,6 +618,56 @@ class TestFamilyContainer:
         fam = ode_family()
         prof = sampling_rate_profile(fam, 0.0)
         np.testing.assert_allclose(prof, 1.0, atol=1e-12)
+
+
+def polynomial_family(coefs, n, step=0.1):
+    """Family whose h at command z is sum_k coefs[k] * z**k (one column per
+    state), on the n-point grid step * (-1, 0, 1, ..., n - 2)."""
+    zeta = step * (np.arange(n) - 1.0)
+    h = np.polynomial.polynomial.polyval(zeta, np.asarray(coefs, dtype=float)).T
+    return DesignFamily(simple_space([0.0, 1.0]), two_state(0.3, 0.4), "ipd",
+                        FamilyStructure(), zeta, h)
+
+
+def polynomial_rate(coefs, zeta):
+    return np.polynomial.polynomial.polyval(
+        zeta, np.polynomial.polynomial.polyder(np.asarray(coefs, dtype=float)))
+
+
+class TestInterpolant:
+    """Between grid points h is the cubic Hermite interpolant on ``h_slopes``,
+    and ``h_rate_at`` is its derivative, whatever the kind."""
+
+    @pytest.mark.parametrize("n", [5, 6, 9])
+    def test_slopes_exact_for_quartics(self, n):
+        # fourth-order differences, the two points at each end included
+        coefs = [[0.3, -1.2], [2.0, 0.5], [-0.7, 1.1], [0.4, -0.9], [1.5, 0.8]]
+        fam = polynomial_family(coefs, n)
+        want = polynomial_rate(coefs, fam.zeta_grid)
+        np.testing.assert_allclose(fam.h_slopes, want.T, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 9])
+    def test_interpolant_exact_for_cubics(self, n):
+        coefs = [[0.3, -1.2], [2.0, 0.5], [-0.7, 1.1], [0.4, -0.9]]
+        fam = polynomial_family(coefs, n)
+        for zeta in np.linspace(fam.zeta_grid[0], fam.zeta_grid[-1], 4 * n + 1)[1::2]:
+            want = np.polynomial.polynomial.polyval(zeta, np.asarray(coefs))
+            np.testing.assert_allclose(fam.h_at(zeta), want, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(fam.h_rate_at(zeta), polynomial_rate(coefs, zeta),
+                                       rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_generator_family_on_small_grids(self, n):
+        # h = zeta * generator is linear, so every slope rule gives the
+        # generator; grids below five points take second-order differences
+        gen = np.array([0.0, 1.5, -0.4])
+        base = random_chain(np.random.default_rng(13), 3)
+        zeta = 0.25 * (np.arange(n) - n // 2)
+        fam = DesignFamily(simple_space([1.0, 0.0, -1.0]), base, "custom",
+                           FamilyStructure(), zeta, zeta[:, None] * gen, generator=gen)
+        for z in (zeta[0], zeta[-1], zeta[0] + 0.1, zeta[-1] - 0.03):
+            np.testing.assert_allclose(fam.h_rate_at(z), gen, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(fam.h_at(z), z * gen, rtol=0.0, atol=1e-15)
 
 
 def count_solves(monkeypatch):

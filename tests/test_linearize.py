@@ -1,6 +1,7 @@
 import cmath
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from ddispatch.linearize import (
 from ddispatch.loads import PoolModelSpec, build_pool_model, synthesis_inputs
 from ddispatch import markov
 from ddispatch.markov import Pmf, StateFunction, StochasticMatrix, invariant_pmf
+from ddispatch.sim import meanfield_step
 
 from conftest import random_chain, two_state
 
@@ -171,8 +173,8 @@ class TestAdjointForm:
                                    atol=1e-13)
 
     def test_linearize_evaluates_design_rate_once(self, monkeypatch):
-        # the rate feeds both b and the time-reversal cross-check; on an ODE
-        # family each evaluation is an invariant solve plus a Poisson solve
+        # the rate feeds both b and the time-reversal cross-check; it is read
+        # off h_grid, so an evaluation solves nothing
         model = build_pool_model(PoolModelSpec(rungs=8, slot_minutes=30.0))
         base, structure = synthesis_inputs(model, "compose")
         fam = solve_design_ode(base, model.space, "ipd", 0.1, step=0.05,
@@ -205,6 +207,47 @@ class TestAdjointForm:
             linearize(fam, zeta)
             counts.append(len(calls))
         assert counts == [1, 2, 3]
+
+    def test_analysis_runs_no_design_rule(self, pool_spd_family, monkeypatch):
+        # the rate is the derivative of the interpolant of h_grid: no LU pmf,
+        # doubled kernel or Poisson solve runs, on the grid or between points
+        def design_rule(*args):
+            raise AssertionError("design rule ran")
+
+        for name in ("_lu_invariant", "_poisson_raw", "_doubled_raw"):
+            monkeypatch.setattr(design_module, name, design_rule)
+        for zeta in (0.0, 0.123, 0.25):
+            linearize(pool_spd_family, zeta)
+            b_adjoint_form(pool_spd_family, zeta)
+            family_kernel_derivative(pool_spd_family, zeta)
+
+    def test_b_is_the_plants_derivative(self):
+        # b is the command derivative of one mean-field step from the invariant
+        # pmf, between grid points as on them: measured within 6e-11, where a
+        # rate that is not the derivative of h_at misses by 8e-6 to 1e-3
+        chain = random_chain(np.random.default_rng(7), 3)
+        fam = solve_design_ode(chain, simple_space([1.0, 0.0, -1.0]), "ipd", 0.5,
+                               step=0.01)
+        delta = 1e-5
+        for zeta in (0.123, -0.4567, 0.3):
+            model = linearize(fam, zeta)
+            up, _ = meanfield_step(model.pi, zeta + delta, fam)
+            down, _ = meanfield_step(model.pi, zeta - delta, fam)
+            fd = (up.weights - down.weights) / (2.0 * delta)
+            assert np.abs(model.b - fd).max() <= 1e-8 * np.abs(model.b).max()
+
+    def test_cross_check_tolerance_edge(self, monkeypatch):
+        # the two forms of b must agree within 1e-10 of max(1, max|b|): a gap
+        # of 3e-9 is refused
+        chain = random_chain(np.random.default_rng(7), 3)
+        fam = solve_design_ode(chain, simple_space([1.0, 0.0, -1.0]), "ipd", 0.5,
+                               step=0.05)
+        assert np.abs(linearize(fam, 0.2).b).max() < 1.0
+        b_adjoint = linearize_module._b_adjoint
+        monkeypatch.setattr(linearize_module, "_b_adjoint",
+                            lambda *args: b_adjoint(*args) + 3e-9 * np.array([1.0, -1.0, 0.0]))
+        with pytest.raises(ValidationError, match=r"cross-check failed \(gap 3.00e-09\)"):
+            linearize(fam, 0.2)
 
     def test_rejects_predecessor_dependent_rate(self, rng):
         # exogenous noise kernels vary with the current state, so the lifted
@@ -274,6 +317,18 @@ class TestTransferEval:
         model = chain_model(StochasticMatrix(p), np.random.default_rng(50))
         with pytest.raises(NearSingular, match="at z = 0j"):
             transfer_eval(model, 0.0)
+
+    def test_solve_tolerance_edge(self, monkeypatch):
+        # SOLVE_TOL is 1e-8 of max|B|: a solve whose residual is 10 to 100
+        # times that is refused
+        model, _, _ = two_state_model()
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solve(a, b) + 2.4e-7 * np.array([1.0, -1.0]))
+        with pytest.raises(NearSingular, match="ill-conditioned") as info:
+            transfer_eval(model, 1.0)
+        resid = float(re.search(r"residual ([-+.e\d]+)", str(info.value)).group(1))
+        assert 1e-7 <= resid / np.abs(model.b).max() <= 1e-6
 
     def test_dc_gain(self):
         model, lam, beta = two_state_model()

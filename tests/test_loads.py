@@ -12,6 +12,7 @@ from ddispatch import (
     ValidationError,
 )
 from ddispatch.design import FamilyStructure, build_exponential_family
+from ddispatch.fileio import write_json
 from ddispatch.loads import (
     MAX_SAMPLES_PER_STATE,
     LoadModel,
@@ -168,6 +169,23 @@ class TestPoolModel:
         assert back.gamma == pool.gamma
         assert back.digest == pool.digest
         assert back.space.n_control == 96
+
+    @pytest.mark.parametrize("excess,refused", [(1e-11, True), (-1e-11, True),
+                                                (1e-13, False)])
+    def test_row_sum_tolerance_edge(self, pool, tmp_path, excess, refused):
+        # ROW_SUM_TOL is 1e-12: a kernel row summing to 1 +- 1e-11 is refused,
+        # one summing to 1 + 1e-13 loads
+        doc = pool.to_json()
+        row = doc["s0"][0]
+        k = int(np.argmax(row))
+        row[k] += excess
+        path = tmp_path / "model.json"
+        write_json(path, doc)
+        if refused:
+            with pytest.raises(ValidationError, match="row sums deviate from 1"):
+                load_model(path)
+        else:
+            assert load_model(path).s0.entries[0, k] == row[k]
 
     def test_synthesis_routes(self, pool):
         base, structure = synthesis_inputs(pool, "compose")

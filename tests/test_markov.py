@@ -1,8 +1,11 @@
 """Chain algebra: structure checks, invariant pmfs, adjoints, Poisson solves."""
 
+import re
+
 import numpy as np
 import pytest
 
+from ddispatch import markov
 from ddispatch.errors import (
     NotIrreducible,
     SingularSystem,
@@ -170,6 +173,25 @@ class TestInvariantPmf:
         with pytest.raises(SingularSystem, match=f"{message}.* at command 0.25$"):
             _checked_invariant_raw(solve, " at command 0.25")
 
+    def test_residual_tolerance_edge(self, rng, monkeypatch):
+        # INVARIANT_TOL is 1e-12: a solve off by 1e-11 in two weights, which
+        # leaves a residual 10 to 100 times the tolerance, is refused
+        p = random_chain(rng, 5)
+        solve = markov._solve
+
+        def perturbed(a, b, what):
+            return solve(a, b, what) + 1e-11 * np.array([1.0, -1.0, 0.0, 0.0, 0.0])
+
+        monkeypatch.setattr(markov, "_solve", perturbed)
+        with pytest.raises(SingularSystem, match="invariant residual") as info:
+            invariant_pmf(p)
+        assert 1e-11 <= reported(info, "residual") <= 1e-10
+
+
+def reported(info, name):
+    """The number an error message gives after ``name``."""
+    return float(re.search(rf"{name} ([-+.e\d]+)", str(info.value)).group(1))
+
 
 class TestFundamentalMatrix:
     def test_inverse_identity(self, rng):
@@ -198,6 +220,18 @@ class TestFundamentalMatrix:
         p = sparse_random_chain(rng, 9)
         z = fundamental_matrix(p, invariant_pmf(p))
         np.testing.assert_allclose(z.sum(axis=1), np.ones(9), atol=1e-10)
+
+    def test_residual_tolerance_edge(self, rng, monkeypatch):
+        # FUNDAMENTAL_TOL is 1e-10: an inverse off by 2e-9 times the
+        # identity, so 10 to 100 times the tolerance off, is refused
+        p = random_chain(rng, 4)
+        pi = invariant_pmf(p)
+        solve = markov._solve
+        monkeypatch.setattr(markov, "_solve",
+                            lambda a, b, what: solve(a, b, what) + 2e-9 * np.eye(4))
+        with pytest.raises(SingularSystem, match="fundamental matrix residual") as info:
+            fundamental_matrix(p, pi)
+        assert 1e-9 <= reported(info, "residual") <= 1e-8
 
     def test_singular_system_reported(self, rng, monkeypatch):
         p = random_chain(rng, 4)
