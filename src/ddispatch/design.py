@@ -23,6 +23,7 @@ steer the exogenous part.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -435,6 +436,9 @@ class DesignFamily:
         self.structure = structure
         self.zeta_grid = zeta_grid
         self.zeta_grid.setflags(write=False)
+        # Python floats: _locate runs on every h_at and h_rate_at, and numpy
+        # scalar arithmetic there took ~3x as long
+        self._ends = (float(zeta_grid[0]), float(zeta_grid[-1]))
         self.h_grid = h_grid
         self.h_grid.setflags(write=False)
         self.generator = generator
@@ -503,19 +507,18 @@ class DesignFamily:
 
     def _locate(self, zeta: float):
         """Map a command value to (index, None) on-grid or (lo, frac) between."""
-        g = self.zeta_grid
-        lo_edge, hi_edge = g[0], g[-1]
+        lo_edge, hi_edge = self._ends
         slack = _GRID_SNAP * self.step
         if not lo_edge - slack <= zeta <= hi_edge + slack:  # NaN fails too
             raise OutOfGrid(
                 f"command {zeta:g} outside synthesized range [{lo_edge:g}, {hi_edge:g}]"
             )
         pos = (zeta - lo_edge) / self.step
-        nearest = int(round(pos))
-        nearest = min(max(nearest, 0), len(g) - 1)
+        n = len(self.zeta_grid)
+        nearest = min(max(int(round(pos)), 0), n - 1)
         if abs(pos - nearest) <= _GRID_SNAP:
             return nearest, None
-        lo = min(int(np.floor(pos)), len(g) - 2)
+        lo = min(math.floor(pos), n - 2)
         return lo, pos - lo
 
     @functools.cached_property

@@ -434,13 +434,15 @@ def _transfer_sweep(model: LinearModel, zs: np.ndarray) -> tuple[np.ndarray, flo
     """G at every z of ``zs`` (all on the unit circle) and the worst
     relative residual.
 
-    Same deflated system as :func:`transfer_eval`, on one of two paths:
-    - on the bordered elimination schedule of A's pattern, which each
-      sweep plans for itself (~3 ms on the pool per-step kernel)
-      (:func:`_schedule_solve`, SCHEDULE_BLOCK z at a time), when
-      eliminating one z there touches fewer entries than the d^2 / 2 a
-      Hessenberg solve does: 475 against 4 608 on the pool per-step kernel;
-    - otherwise from one Hessenberg reduction of A - pi 1^T, where each z
+    Same deflated system as :func:`transfer_eval`, on one of two paths,
+    chosen by the work of the bordered elimination schedule of A's pattern,
+    which each sweep plans for itself.  That work is counted on the filled
+    pattern; the schedule's pivots are built only on the first path.
+    - On the schedule (:func:`_schedule_solve`, SCHEDULE_BLOCK z at a
+      time), when eliminating one z there touches fewer entries than the
+      d^2 / 2 a Hessenberg solve does: 475 against 4 608 on the pool
+      per-step kernel, whose plan takes ~3 ms.
+    - Otherwise from one Hessenberg reduction of A - pi 1^T, where each z
       costs O(d^2), SWEEP_BLOCK z at a time.  On the 42-state tcl kernel
       the schedule would touch 7 892 entries against 882.
     Every solution passes :func:`_checked_residuals`, as the dense solve's

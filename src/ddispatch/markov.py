@@ -13,8 +13,9 @@ this way, by GTH state reduction, and the direct solve is left to
 from.  Both plans are pure functions of a pattern, kept by the object that
 owns it (a design family keeps its own), never by this module.  Values are
 immutable and safe to share between threads.  A kernel's support mask,
-nonzeros and structure report are computed on first use and kept; a race
-between threads at worst computes the same value twice.
+nonzeros and structure report, and a schedule's pivots, are computed on
+first use and kept; a race between threads at worst computes the same value
+twice.
 """
 
 from __future__ import annotations
@@ -377,20 +378,34 @@ class Pivot(NamedTuple):
     targets: np.ndarray
 
 
-class Schedule(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Schedule:
     """Symbolic elimination of a square support pattern, diagonal included.
 
     ``slots[i, j]`` numbers the entries of the filled pattern row by row (-1
     off it), so the values of any matrix on the pattern fit one array of
     ``size`` entries, with any batch axes after it.  ``pivots`` eliminates
-    the states in order without pivoting.  ``work`` counts what one matrix's
-    elimination touches: the filled entries plus the updates.
+    the states in ``order`` without pivoting; it is built on first use, so a
+    caller that reads only ``work`` plans none.  ``work`` counts what one
+    matrix's elimination touches: the filled entries plus the updates.
     """
 
     slots: np.ndarray
     size: int
-    pivots: tuple
+    order: np.ndarray
     work: int
+
+    @functools.cached_property
+    def pivots(self) -> tuple:
+        """One :class:`Pivot` per state of ``order``."""
+        filled, slots, order = self.slots >= 0, self.slots, self.order
+        pivots = []
+        for n, k in enumerate(order):
+            later = order[n + 1:]
+            rows, cols = later[filled[later, k]], later[filled[k, later]]
+            pivots.append(Pivot(int(k), int(slots[k, k]), slots[rows, k], rows,
+                                slots[k, cols], cols, slots[np.ix_(rows, cols)].ravel()))
+        return tuple(pivots)
 
 
 def _fill(mask: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -422,17 +437,14 @@ def _schedule(mask: np.ndarray, border: bool = False) -> Schedule:
     order, filled = orders[best], fills[best]
     if border:
         filled[order[-1]] = True
-    slots = np.full((d, d), -1)
-    slots[filled] = np.arange(np.count_nonzero(filled))
-    pivots = []
-    for n, k in enumerate(order):
-        later = order[n + 1:]
-        rows, cols = later[filled[later, k]], later[filled[k, later]]
-        pivots.append(Pivot(int(k), int(slots[k, k]), slots[rows, k], rows,
-                            slots[k, cols], cols, slots[np.ix_(rows, cols)].ravel()))
     size = int(np.count_nonzero(filled))
-    return Schedule(slots, size, tuple(pivots),
-                    size + sum(p.targets.size for p in pivots))
+    slots = np.full((d, d), -1)
+    slots[filled] = np.arange(size)
+    # the step eliminating order[n] updates (filled entries below it in its
+    # column) x (filled entries right of it in its row), in elimination order
+    ordered = filled[np.ix_(order, order)]
+    updates = np.tril(ordered, -1).sum(axis=0) @ np.triu(ordered, 1).sum(axis=1)
+    return Schedule(slots, size, order, size + int(updates))
 
 
 class RowLayout(NamedTuple):

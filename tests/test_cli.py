@@ -808,6 +808,46 @@ class TestEntryPoint:
         assert "decompose" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "loaded: []"
 
+    def test_process_entry_freezes_the_import_heap(self):
+        # ``python -m ddispatch`` runs cli.run, which freezes what the
+        # imports made, and still ends in SystemExit with main's code
+        code = "\n".join([
+            "import gc, runpy, sys",
+            "sys.argv = ['ddispatch', '--help']",
+            "try:",
+            "    runpy.run_module('ddispatch', run_name='__main__')",
+            "except SystemExit as exc:",
+            "    assert exc.code == 0, exc.code",
+            "print('frozen:', gc.get_freeze_count() > 0)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "frozen: True"
+
+    def test_main_freezes_nothing(self, tmp_path):
+        # in-process callers keep collecting their garbage
+        import gc
+
+        before = gc.get_freeze_count()
+        assert run(["model", "--kind", "pool", "--out", tmp_path / "m.json"]) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_module_entry(self):
+        # the installed ``ddispatch`` script and ``python -m ddispatch``
+        # call the same function
+        tomllib = pytest.importorskip("tomllib")
+        package = pathlib.Path(importlib.import_module("ddispatch").__file__).parent
+        with open(package.parent.parent / "pyproject.toml", "rb") as f:
+            script = tomllib.load(f)["project"]["scripts"]["ddispatch"]
+        tree = ast.parse((package / "__main__.py").read_text())
+        source = {a.name: ("ddispatch." if node.level else "") + node.module
+                  for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for a in node.names}
+        called = [node.args[0].func.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.exit"]
+        assert [f"{source[name]}:{name}" for name in called] == [script]
+
     def test_no_hidden_module_state(self):
         # no module rebinds its globals at run time, and only the package
         # init touches the environment (the thread cap, before numpy loads)

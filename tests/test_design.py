@@ -634,6 +634,22 @@ def polynomial_rate(coefs, zeta):
         zeta, np.polynomial.polynomial.polyder(np.asarray(coefs, dtype=float)))
 
 
+def numpy_scalar_locate(fam, zeta):
+    """``DesignFamily._locate`` computed on the grid's numpy scalars, with
+    ``np.floor``; None where it raises OutOfGrid."""
+    g, snap = fam.zeta_grid, design_module._GRID_SNAP
+    lo_edge, hi_edge = g[0], g[-1]
+    slack = snap * fam.step
+    if not lo_edge - slack <= zeta <= hi_edge + slack:
+        return None
+    pos = (zeta - lo_edge) / fam.step
+    nearest = min(max(int(round(pos)), 0), len(g) - 1)
+    if abs(pos - nearest) <= snap:
+        return nearest, None
+    lo = min(int(np.floor(pos)), len(g) - 2)
+    return lo, pos - lo
+
+
 class TestInterpolant:
     """Between grid points h is the cubic Hermite interpolant on ``h_slopes``,
     and ``h_rate_at`` is its derivative, whatever the kind."""
@@ -655,6 +671,32 @@ class TestInterpolant:
             np.testing.assert_allclose(fam.h_at(zeta), want, rtol=0.0, atol=1e-13)
             np.testing.assert_allclose(fam.h_rate_at(zeta), polynomial_rate(coefs, zeta),
                                        rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("start, step, n", [(-0.37, 0.013, 57), (-3.0, 0.01, 601)])
+    def test_locate_matches_numpy_scalars(self, start, step, n):
+        # the same (index, fraction), bitwise, on ~1 000 commands: random
+        # ones, both ends +- the snap slack, and nodes +- the snap
+        zeta = start + step * np.arange(n)
+        fam = DesignFamily(simple_space([0.0, 1.0]), two_state(0.3, 0.4), "ipd",
+                           FamilyStructure(), zeta, np.zeros((n, 2)))
+        snap, (lo, hi) = design_module._GRID_SNAP, fam.zeta_grid[[0, -1]]
+        slack = snap * fam.step
+        rng = np.random.default_rng(139)
+        near = np.array([1.0 - 1e-6, 1.0, 1.0 + 1e-6])
+        nodes = fam.zeta_grid[rng.integers(0, n, size=40)]
+        commands = np.concatenate([
+            rng.uniform(lo - 2.0 * slack - step, hi + 2.0 * slack + step, size=700),
+            lo + np.outer([-1.0, 0.0, 1.0], near * slack).ravel(),
+            hi + np.outer([-1.0, 0.0, 1.0], near * slack).ravel(),
+            (nodes[:, None] + np.concatenate([-near, near]) * slack).ravel(),
+            nodes])
+        for command in commands.tolist():
+            want = numpy_scalar_locate(fam, command)
+            if want is None:
+                with pytest.raises(OutOfGrid):
+                    fam._locate(command)
+            else:
+                assert fam._locate(command) == want
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_generator_family_on_small_grids(self, n):

@@ -727,6 +727,35 @@ class TestScheduleSweep:
         assert plans == [True] * 4
         assert again.tobytes() == first[0].tobytes()
 
+    def test_dense_pattern_builds_no_pivots(self, monkeypatch):
+        # a fully supported chain takes the Hessenberg path, decided from
+        # the schedule's counted work before any pivot is planned
+        rng = np.random.default_rng(127)
+        model = chain_model(random_chain(rng, 12), rng)
+        want = positive_real_check(model, theta_count=600).g_values
+
+        def refused(*args):
+            raise AssertionError("a pivot was built")
+
+        monkeypatch.setattr(markov, "Pivot", refused)
+        paths = count_paths(monkeypatch)
+        got = positive_real_check(model, theta_count=600).g_values
+        assert paths == ["_hessenberg_solve"] * 5
+        assert got.tobytes() == want.tobytes()
+
+    def test_work_counts_the_pivots(self, pool_family):
+        # the work counted on the filled pattern is what the pivots touch
+        rng = np.random.default_rng(137)
+        masks = [pool_family.kernel_at(0.0).entries.T != 0.0,
+                 (np.eye(20, k=-1) + np.eye(20, k=1)) != 0.0,
+                 np.ones((7, 7), dtype=bool), np.zeros((1, 1), dtype=bool)]
+        masks += [rng.random((d, d)) < q for d in (9, 30) for q in (0.05, 0.2)]
+        for mask in masks:
+            for border in (False, True):
+                schedule = markov._schedule(mask, border)
+                touched = sum(p.targets.size for p in schedule.pivots)
+                assert schedule.work == schedule.size + touched
+
     def test_border_fills_only_its_row(self):
         # a birth-death pattern, which eliminates without fill
         mask = (np.eye(20, k=-1) + np.eye(20, k=1)) != 0.0
