@@ -27,7 +27,6 @@ def _apply_thread_cap():
 # numpy reads the BLAS thread variables when it loads
 _apply_thread_cap()
 
-from . import cli  # noqa: E402,F401
 from .errors import (  # noqa: E402
     AdjointProductReducible,
     BadCutoffs,

@@ -392,13 +392,15 @@ class DesignFamily:
     h is one C1 function of the command, built from ``h_grid`` alone: the
     grid values, joined by the cubic Hermite interpolant on ``h_slopes``.
     ``h_at`` reads it and ``h_rate_at`` its derivative, for every kind, so a
-    linear model is the derivative of the plant it describes.  Values beyond
-    the grid ends raise :class:`OutOfGrid`.
+    linear model is the derivative of the plant it describes.  ``kind`` is a
+    label only: a fixed-direction family keeps its direction g as
+    ``h_grid = zeta_grid (x) g`` and nowhere else.  Values beyond the grid
+    ends raise :class:`OutOfGrid`.
     """
 
     def __init__(self, space: LoadStateSpace, base: StochasticMatrix, kind: str,
                  structure: FamilyStructure, zeta_grid, h_grid,
-                 generator=None, model_hash: str | None = None,
+                 model_hash: str | None = None,
                  synthesis: dict | None = None):
         if kind not in ODE_KINDS + GENERATOR_KINDS:
             raise ValidationError(f"unknown design kind {kind!r}")
@@ -423,12 +425,6 @@ class DesignFamily:
             self.step = 1.0
         if not np.all(np.isfinite(h_grid)):
             raise ValidationError("design grid contains non-finite values")
-        if kind in GENERATOR_KINDS:
-            generator = np.array(generator, dtype=float)
-            if generator.shape != (space.dim,):
-                raise ValidationError("generator must be one value per state")
-        elif generator is not None:
-            raise ValidationError(f"kind {kind!r} does not take a generator")
 
         self.space = space
         self.base = base
@@ -441,9 +437,6 @@ class DesignFamily:
         self._ends = (float(zeta_grid[0]), float(zeta_grid[-1]))
         self.h_grid = h_grid
         self.h_grid.setflags(write=False)
-        self.generator = generator
-        if generator is not None:
-            self.generator.setflags(write=False)
         self.model_hash = model_hash
         self.synthesis = dict(synthesis or {})
         self._last_jump = None  # (command, jump values) of the last jump_values_at
@@ -516,7 +509,7 @@ class DesignFamily:
         pos = (zeta - lo_edge) / self.step
         n = len(self.zeta_grid)
         nearest = min(max(int(round(pos)), 0), n - 1)
-        if abs(pos - nearest) <= _GRID_SNAP:
+        if n == 1 or abs(pos - nearest) <= _GRID_SNAP:  # one point: all within slack
             return nearest, None
         lo = min(math.floor(pos), n - 2)
         return lo, pos - lo
@@ -640,8 +633,6 @@ class DesignFamily:
                        structure=self.structure.to_json(), space=self.space.to_json(),
                        base=self.base.entries.tolist(), zeta_grid=self.zeta_grid.tolist(),
                        h_grid=self.h_grid.tolist(), synthesis=self.synthesis)
-        if self.generator is not None:
-            doc["generator"] = self.generator.tolist()
         if self.model_hash is not None:
             doc["model_hash"] = self.model_hash
         return doc
@@ -649,7 +640,6 @@ class DesignFamily:
     @classmethod
     def from_json(cls, doc: dict) -> "DesignFamily":
         doc = document(doc, "design-family")
-        gen = doc.get("generator")
         return cls(
             space=LoadStateSpace.from_json(doc["space"]),
             base=StochasticMatrix(numbers(doc["base"], 2)),
@@ -657,7 +647,6 @@ class DesignFamily:
             structure=FamilyStructure.from_json(doc["structure"]),
             zeta_grid=numbers(doc["zeta_grid"], 1),
             h_grid=numbers(doc["h_grid"], 2),
-            generator=None if gen is None else numbers(gen, 1),
             model_hash=field(doc, "model_hash", string, None),
             synthesis=json_object(doc.get("synthesis", {}), "synthesis"),
         )
@@ -793,7 +782,7 @@ def build_exponential_family(base: StochasticMatrix, space: LoadStateSpace,
         gen = _zero_direction(kind, base, space)
     h_grid = zeta_grid[:, None] * gen[None, :]
     return DesignFamily(
-        space, base, kind, structure, zeta_grid, h_grid, generator=gen,
+        space, base, kind, structure, zeta_grid, h_grid,
         model_hash=model_hash,
         synthesis={"method": "exponential", "step": step, "zeta_max": zeta_max},
     )
@@ -811,7 +800,7 @@ def geometric_compose(family: DesignFamily, gamma: float) -> DesignFamily:
     structure = FamilyStructure(sampling="composed", gamma=gamma)
     return DesignFamily(
         family.space, family.base, family.kind, structure,
-        family.zeta_grid, family.h_grid, generator=family.generator,
+        family.zeta_grid, family.h_grid,
         model_hash=family.model_hash,
         synthesis=dict(family.synthesis, composed_gamma=gamma),
     )

@@ -113,6 +113,21 @@ class TestModel:
                     "--out", tmp_path / "x.json"]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,doc", [
+        ("tcl", {"power_kw": 1.0}),
+        ("tcl", {"band_low": 21.0}),
+        ("tcl", {"sample_period_s": 0.0}),
+        ("pool", {"slot_minutes": 0.0}),
+    ], ids=["tcl_cannot_cool", "tcl_band_empty", "tcl_sample_period_zero",
+            "pool_slot_minutes_zero"])
+    def test_spec_field_out_of_range(self, tmp_path, capsys, kind, doc):
+        spec = tmp_path / "spec.json"
+        write_json(spec, doc)
+        assert run(["model", "--kind", kind, "--spec", spec, "--samples", "1000",
+                    "--out", tmp_path / "x.json"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_unknown_spec_field(self, tmp_path):
         spec = tmp_path / "spec.json"
         write_json(spec, {"rung_count": 24})
@@ -430,9 +445,16 @@ class TestAnalyze:
         ("format_version", "1"),
         ("model_hash", [1]),
         ("synthesis", [["a", 1]]),
+        # the working family has 81 grid points, -0.8 to 0.8, and 4 states
+        ("zeta_grid", [-0.8 + 0.02 * i for i in range(80)] + [0.9]),
+        ("zeta_grid", [0.8 - 0.02 * i for i in range(81)]),
+        ("h_grid", [[0.0] * 4] * 80),
+        ("base", [[0.5, 0.5], [0.5, 0.5]]),
     ], ids=["no_kind", "format_version_text", "zeta_grid_text", "space_list",
             "structure_list", "format_version_fractional", "format_version_true",
-            "format_version_number_text", "model_hash_list", "synthesis_list"])
+            "format_version_number_text", "model_hash_list", "synthesis_list",
+            "zeta_grid_not_uniform", "zeta_grid_decreasing", "h_grid_row_short",
+            "base_wrong_size"])
     def test_malformed_family(self, workdir, tmp_path, capsys, key, value):
         doc = read_json(workdir["family"])
         if value is None:
@@ -467,6 +489,20 @@ class TestAnalyze:
         assert run(["analyze", "--family", tmp_path / "f.json", "--zeta", "0",
                     "--out", tmp_path / "b.csv"]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_reducible_base(self, workdir, tmp_path, capsys):
+        write_json(tmp_path / "f.json",
+                   dict(read_json(workdir["family"]), base=np.eye(4).tolist()))
+        assert run(["analyze", "--family", tmp_path / "f.json", "--zeta", "0",
+                    "--out", tmp_path / "b.csv"]) == 4
+        assert "NotIrreducible" in capsys.readouterr().err
+
+    def test_one_point_family(self, workdir, tmp_path):
+        # a command within the snap slack of the one grid point reads that point
+        doc = read_json(workdir["family"])
+        write_json(tmp_path / "f.json", dict(doc, zeta_grid=[0.25], h_grid=doc["h_grid"][:1]))
+        assert run(["analyze", "--family", tmp_path / "f.json", "--zeta", "0.2500001",
+                    "--theta-count", "16", "--out", tmp_path / "b.csv"]) == 0
 
     @pytest.mark.parametrize("row", [0, -1], ids=["first_row", "last_row"])
     def test_grid_point_checked_where_used(self, workdir, tmp_path, capsys, row):
@@ -624,6 +660,8 @@ class TestSimulate:
         {"mode": "track", "family": None, "plant": "fleet", "n": 10**12},
         {"mode": "track", "family": None, "plant": "fleet", "n": 50, "steps": 30,
          "period_s": -5},
+        {"mode": "track", "family": None, "reference": {"kind": "triangle"}},
+        {"mode": "trajectory", "family": None, "steps": 100},
     ], ids=["no_family", "steps_not_integer", "top_level_list", "controller_list",
             "steps_negative", "settle_not_below_steps", "settle_negative",
             "seed_negative", "seed_fractional", "zeta_nan", "amplitude_inf",
@@ -634,7 +672,8 @@ class TestSimulate:
             "family_list", "period_s_zero", "period_s_negative",
             "steps_above_maximum", "steps_huge", "trajectory_steps_huge",
             "fleet_n_zero", "fleet_n_above_maximum", "fleet_n_huge",
-            "fleet_period_s_negative"])
+            "fleet_period_s_negative", "reference_kind_unknown",
+            "trajectory_family_off_lattice"])
     def test_malformed_scenario(self, workdir, tmp_path, capsys, monkeypatch, doc):
         # a document that names its payload is written as it is; in the
         # others a "family" key names the working family.  Every field is
@@ -847,6 +886,41 @@ class TestEntryPoint:
         called = [node.args[0].func.id for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and ast.unparse(node.func) == "sys.exit"]
         assert [f"{source[name]}:{name}" for name in called] == [script]
+
+    def test_cli_module_runs_once(self):
+        # importing the package leaves the CLI out, so ``python -m
+        # ddispatch.cli`` runs one copy of the module and runpy stays quiet
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "ddispatch.cli", "--help"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "decompose" in proc.stdout
+        proc = subprocess.run([sys.executable, "-c", "import sys, ddispatch; "
+                               "print('ddispatch.cli' in sys.modules)"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+    def test_only_the_module_entry_imports_cli(self):
+        # the CLI sits on top of the package: no module but __main__ imports it
+        package = pathlib.Path(importlib.import_module("ddispatch").__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "__main__.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = {a.name for a in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    module = "." * node.level + (node.module or "")
+                    prefix = module if module.endswith(".") else module + "."
+                    names = {module} | {prefix + a.name for a in node.names}
+                else:
+                    continue
+                if names & {"ddispatch.cli", ".cli"}:
+                    found.append(f"{path.name}:{node.lineno} imports cli")
+        assert found == []
 
     def test_no_hidden_module_state(self):
         # no module rebinds its globals at run time, and only the package

@@ -493,15 +493,16 @@ class TestExponentialFamilies:
         base = random_chain(rng, 4)
         util = rng.normal(size=4)
         fam = build_exponential_family(base, simple_space(util), "myopic", 1.0)
-        np.testing.assert_array_equal(fam.generator, util)
+        np.testing.assert_array_equal(fam.h_grid, np.multiply.outer(fam.zeta_grid, util))
         np.testing.assert_allclose(fam.h_at(0.62), 0.62 * util, atol=1e-12)
 
     def test_frozen_direction_matches_map_at_base(self, rng):
         base = random_chain(rng, 5)
         util = rng.normal(size=5)
         fam = build_exponential_family(base, simple_space(util), "ipd0", 1.0)
-        np.testing.assert_allclose(fam.generator,
-                                   ipd_map(base, util).values, atol=1e-14)
+        np.testing.assert_allclose(
+            fam.h_grid, np.multiply.outer(fam.zeta_grid, ipd_map(base, util).values),
+            atol=1e-14)
 
     def test_custom_needs_generator(self, rng):
         base = random_chain(rng, 3)
@@ -510,7 +511,8 @@ class TestExponentialFamilies:
             build_exponential_family(base, space, "custom", 1.0)
         fam = build_exponential_family(base, space, "custom", 1.0,
                                        generator=[0.0, 2.0, 1.0])
-        np.testing.assert_array_equal(fam.generator, [0.0, 2.0, 1.0])
+        np.testing.assert_array_equal(fam.h_grid,
+                                      np.multiply.outer(fam.zeta_grid, [0.0, 2.0, 1.0]))
 
     def test_frozen_family_tracks_adapted_family(self):
         # same direction at zero, so kernels drift apart quadratically and
@@ -698,6 +700,18 @@ class TestInterpolant:
             else:
                 assert fam._locate(command) == want
 
+    def test_one_point_grid_locates_within_slack(self):
+        # the only grid point, for every command the slack lets in
+        fam = DesignFamily(simple_space([0.0, 1.0]), two_state(0.3, 0.4), "ipd",
+                           FamilyStructure(), [0.25], [[0.5, -0.5]])
+        for command in (0.25, 0.2500001, 0.2499999):
+            assert fam._locate(command) == (0, None)
+            np.testing.assert_array_equal(fam.h_at(command), [0.5, -0.5])
+            np.testing.assert_array_equal(fam.h_rate_at(command), [0.0, 0.0])
+        for command in (0.2500002, 0.2499998):
+            with pytest.raises(OutOfGrid):
+                fam._locate(command)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 7])
     def test_generator_family_on_small_grids(self, n):
         # h = zeta * generator is linear, so every slope rule gives the
@@ -706,7 +720,7 @@ class TestInterpolant:
         base = random_chain(np.random.default_rng(13), 3)
         zeta = 0.25 * (np.arange(n) - n // 2)
         fam = DesignFamily(simple_space([1.0, 0.0, -1.0]), base, "custom",
-                           FamilyStructure(), zeta, zeta[:, None] * gen, generator=gen)
+                           FamilyStructure(), zeta, zeta[:, None] * gen)
         for z in (zeta[0], zeta[-1], zeta[0] + 0.1, zeta[-1] - 0.03):
             np.testing.assert_allclose(fam.h_rate_at(z), gen, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose(fam.h_at(z), z * gen, rtol=0.0, atol=1e-15)
@@ -976,7 +990,20 @@ class TestSerialization:
         assert back.space.n_exo == 2
         np.testing.assert_allclose(back.kernel_at(0.3).entries,
                                    lazy.kernel_at(0.3).entries, atol=1e-15)
-        np.testing.assert_array_equal(back.generator, lazy.generator)
+        np.testing.assert_array_equal(back.h_grid, lazy.h_grid)
+
+    def test_generator_key_is_ignored(self, tmp_path, rng):
+        # documents of fixed-direction families once carried their direction
+        # as a "generator" key; it loads as the grid alone and saves without it
+        space, base, _, _ = product_space(rng)
+        fam = build_exponential_family(base, space, "ipd0", 0.5)
+        doc = fam.to_json()
+        assert "generator" not in doc
+        path = tmp_path / "family.json"
+        save_family(DesignFamily.from_json(dict(doc, generator=[9.0] * space.dim)), path)
+        back = load_family(path)
+        np.testing.assert_array_equal(back.h_grid, fam.h_grid)
+        assert back.to_json() == doc
 
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValidationError):
