@@ -90,11 +90,17 @@ class PoolModelSpec:
     from_json = classmethod(spec_from_json)
 
 
-def _sojourn_cdf(rungs: int, sigma: float, shape: float) -> np.ndarray:
-    """CDF of the phase sojourn length over epochs 1..rungs; hits 1 at the top."""
-    k = np.arange(1, rungs + 1, dtype=float)
-    u = (rungs - k) / rungs
-    return np.exp(-(u ** shape) / (2.0 * sigma ** shape))
+def _sojourn_cdf(distance: np.ndarray, sigma: float, shape: float) -> np.ndarray:
+    """CDF of the shape/scale sojourn law by distance to the forced switch."""
+    return np.exp(-(distance ** shape) / (2.0 * sigma ** shape))
+
+
+def _hazard(cdf: np.ndarray) -> np.ndarray:
+    """Discrete hazards of a CDF over steps 1..n: P(switch now | not yet)."""
+    hazard = np.empty(len(cdf))
+    hazard[0] = cdf[0]
+    hazard[1:] = (cdf[1:] - cdf[:-1]) / (1.0 - cdf[:-1])
+    return hazard
 
 
 def _mean_sojourn(cdf: np.ndarray) -> float:
@@ -116,22 +122,20 @@ def fit_sojourn_hazard(rungs: int, target_steps: float,
             f"mean sojourn of {target_steps:g} epochs not reachable with "
             f"{rungs} rungs (must lie strictly between 1 and {rungs})"
         )
+    distance = (rungs - np.arange(1, rungs + 1, dtype=float)) / rungs
     lo, hi = -8.0, 8.0  # log10 of the scale
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        mean = _mean_sojourn(_sojourn_cdf(rungs, 10.0 ** mid, shape))
+        mean = _mean_sojourn(_sojourn_cdf(distance, 10.0 ** mid, shape))
         if mean > target_steps:
             lo = mid
         else:
             hi = mid
     sigma = 10.0 ** (0.5 * (lo + hi))
-    cdf = _sojourn_cdf(rungs, sigma, shape)
+    cdf = _sojourn_cdf(distance, sigma, shape)
     if abs(_mean_sojourn(cdf) - target_steps) > 1e-6 * max(1.0, target_steps):
         raise InfeasibleDutyCycle("sojourn fit did not converge")
-    hazard = np.empty(rungs)
-    hazard[0] = cdf[0]
-    hazard[1:] = (cdf[1:] - cdf[:-1]) / (1.0 - cdf[:-1])
-    return sigma, hazard
+    return sigma, _hazard(cdf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,21 +366,14 @@ def tcl_switch_curves(spec: TclModelSpec) -> tuple[np.ndarray, np.ndarray]:
     An idle unit warms toward the top of the band; its chance of starting
     rises along the way and hits 1 at the top cell.  A running unit cools
     toward the bottom; its chance of stopping mirrors that and hits 1 at
-    the bottom cell.  Interior values are discrete hazards of the
-    shape/scale sojourn law evaluated on the lattice, so the implied
-    switching temperature has exactly that law.
+    the bottom cell.  Interior values are discrete hazards of the pool's
+    sojourn law by distance to the band edge (a running unit meets the
+    cells in reverse), so the switching temperature has exactly that law.
     """
     grid = spec.lattice
-    denom = 2.0 * spec.sigma ** spec.rho
-    start_cdf = np.exp(-((spec.band_high - grid) ** spec.rho) / denom)
-    stop_cdf = np.exp(-((grid - spec.band_low) ** spec.rho) / denom)
-    start = np.empty(spec.cells)
-    start[0] = start_cdf[0]
-    start[1:] = (start_cdf[1:] - start_cdf[:-1]) / (1.0 - start_cdf[:-1])
-    stop = np.empty(spec.cells)
-    stop[-1] = stop_cdf[-1]
-    stop[:-1] = (stop_cdf[:-1] - stop_cdf[1:]) / (1.0 - stop_cdf[1:])
-    return start, stop
+    start = _hazard(_sojourn_cdf(spec.band_high - grid, spec.sigma, spec.rho))
+    stop_cdf = _sojourn_cdf(grid - spec.band_low, spec.sigma, spec.rho)
+    return start, _hazard(stop_cdf[::-1])[::-1]
 
 
 def _mode_policy(spec: TclModelSpec) -> np.ndarray:

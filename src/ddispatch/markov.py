@@ -35,6 +35,22 @@ from .errors import (
     ZeroMass,
 )
 
+__all__ = [
+    "StochasticMatrix",
+    "Pmf",
+    "StateFunction",
+    "StructureReport",
+    "check_irreducible_aperiodic",
+    "invariant_pmf",
+    "fundamental_matrix",
+    "adjoint",
+    "adjoint_product",
+    "compose",
+    "geometric_mix",
+    "poisson_solve",
+    "relative_entropy_rate",
+]
+
 ROW_SUM_TOL = 1e-12
 PMF_TOL = 1e-12
 INVARIANT_TOL = 1e-12

@@ -118,8 +118,13 @@ class TestModel:
         ("tcl", {"band_low": 21.0}),
         ("tcl", {"sample_period_s": 0.0}),
         ("pool", {"slot_minutes": 0.0}),
+        ("pool", {"hazard_shape": 0.0}),
+        ("tcl", {"noise_var": -1.0}),
+        ("tcl", {"gamma": 0.0}),
+        ("tcl", {"rho": 0.0}),
     ], ids=["tcl_cannot_cool", "tcl_band_empty", "tcl_sample_period_zero",
-            "pool_slot_minutes_zero"])
+            "pool_slot_minutes_zero", "pool_hazard_shape_zero", "tcl_noise_var_negative",
+            "tcl_gamma_zero", "tcl_rho_zero"])
     def test_spec_field_out_of_range(self, tmp_path, capsys, kind, doc):
         spec = tmp_path / "spec.json"
         write_json(spec, doc)
@@ -258,8 +263,11 @@ class TestDesign:
         ("gamma", True),
         ("gamma", "0.3"),
         ("s0", [[0.25, 0.25, 0.25, "0.25"]] + [[0.25] * 4] * 3),
+        ("gamma", 0.0),
+        ("gamma", 1.5),
+        ("s0", [[0.5, 0.5], [0.5, 0.5]]),
     ], ids=["format_version_fractional", "format_version_true", "gamma_true",
-            "gamma_text", "s0_text"])
+            "gamma_text", "s0_text", "gamma_zero", "gamma_above_one", "s0_wrong_size"])
     def test_model_field_wrong_number(self, workdir, tmp_path, capsys, key, value):
         doc = read_json(workdir["model"])
         doc[key] = value
@@ -267,6 +275,23 @@ class TestDesign:
         assert run(["design", "--model", tmp_path / "m.json", "--kind", "ipd",
                     "--zeta-max", "0.5", "--out", tmp_path / "f.json"]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"n_control": 0}, "state space dimensions must be positive"),
+        ({"n_control": 2, "n_exo": 2, "exo_kernel": [[0.5, 0.5]] * 3},
+         "exo_kernel shape (3, 2) != (4, 2)"),
+    ], ids=["n_control_zero", "exo_kernel_rows_short"])
+    def test_model_space_out_of_range(self, workdir, tmp_path, capsys, fields, message):
+        # the 4-state test model's space, re-declared inconsistently
+        doc = read_json(workdir["model"])
+        doc["space"].update(fields)
+        write_json(tmp_path / "m.json", doc)
+        assert run(["design", "--model", tmp_path / "m.json", "--kind", "ipd",
+                    "--zeta-max", "0.5", "--out", tmp_path / "f.json"]) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "f.json").exists()
 
     def test_malformed_model_units(self, workdir, tmp_path, capsys):
         doc = read_json(workdir["model"])
@@ -921,6 +946,31 @@ class TestEntryPoint:
                 if names & {"ddispatch.cli", ".cli"}:
                     found.append(f"{path.name}:{node.lineno} imports cli")
         assert found == []
+
+    def test_package_names_are_the_layers_all(self):
+        # each layer's __all__ is the one list of its public names, and the
+        # package republishes exactly those and the error classes
+        # (``ddispatch.linearize`` is the function, so modules come by path)
+        import ddispatch
+
+        exported = {}
+        for module in ("markov", "design", "linearize", "loads", "sim"):
+            layer = importlib.import_module(f"ddispatch.{module}")
+            assert isinstance(vars(layer).get("__all__"), list), module
+            for name in layer.__all__:
+                exported[name] = getattr(layer, name)
+        for name, value in vars(importlib.import_module("ddispatch.errors")).items():
+            if not name.startswith("_"):
+                assert isinstance(value, type) and issubclass(value, Exception), name
+                exported[name] = value
+        public = {name: value for name, value in vars(ddispatch).items()
+                  if not name.startswith("_")}
+        others = {name for name, value in public.items()
+                  if name not in exported and not (
+                      isinstance(value, type(ddispatch))
+                      and value.__name__ == f"ddispatch.{name}")}
+        assert others == {"os"}
+        assert {name for name in exported if public.get(name) is not exported[name]} == set()
 
     def test_no_hidden_module_state(self):
         # no module rebinds its globals at run time, and only the package

@@ -61,14 +61,15 @@ class TestSojournFit:
         from ddispatch.loads import _sojourn_cdf
 
         sigma, hazard = fit_sojourn_hazard(48, 24.0)
-        cdf = _sojourn_cdf(48, sigma, 2.0)
+        cdf = _sojourn_cdf((48 - np.arange(1, 49)) / 48, sigma, 2.0)
         survival = np.cumprod(1.0 - hazard)
         assert np.allclose(survival, 1.0 - cdf, atol=1e-12)
 
     def test_mean_decreasing_in_scale(self):
         from ddispatch.loads import _mean_sojourn, _sojourn_cdf
 
-        means = [_mean_sojourn(_sojourn_cdf(48, s, 2.0)) for s in (0.1, 0.3, 0.6, 1.5)]
+        distance = (48 - np.arange(1, 49)) / 48
+        means = [_mean_sojourn(_sojourn_cdf(distance, s, 2.0)) for s in (0.1, 0.3, 0.6, 1.5)]
         assert all(a > b for a, b in zip(means, means[1:]))
 
     def test_infeasible_targets(self):
