@@ -33,7 +33,6 @@ from .errors import (
     AdjointProductReducible,
     IntegrationDiverged,
     NonFinite,
-    NotIrreducible,
     OutOfGrid,
     SingularSystem,
     ValidationError,
@@ -53,6 +52,7 @@ from .markov import (
     _gth,
     _lu_invariant,
     _poisson_raw,
+    _require_irreducible,
     _reversal_raw,
     _row_layout,
     _schedule,
@@ -300,8 +300,7 @@ def spd_map(p: StochasticMatrix, util, anchor: int = 0) -> StateFunction:
     irreducible, in which case the centered equation has no usable solution.
     """
     f = as_values(util, p.dim)
-    if not check_irreducible_aperiodic(p).irreducible:
-        raise NotIrreducible("invariant pmf needs an irreducible chain")
+    _require_irreducible(p, "spd map")
     doubled = StochasticMatrix(_doubled_raw(p.entries))
     if not check_irreducible_aperiodic(doubled).irreducible:
         raise AdjointProductReducible(
@@ -443,8 +442,7 @@ class DesignFamily:
 
         # Tilting keeps the support and the lazy mix adds only self-loops, so
         # the base has the connectivity of every command's per-step kernel.
-        if not check_irreducible_aperiodic(base).irreducible:
-            raise NotIrreducible("per-step kernel is not irreducible")
+        _require_irreducible(base, "design family")
 
     @property
     def support(self) -> Nonzeros:
@@ -707,8 +705,7 @@ def solve_design_ode(base: StochasticMatrix, space: LoadStateSpace, kind: str,
         structure = FamilyStructure()
     if not base.is_square or base.dim != space.dim:
         raise ValidationError("base kernel does not match the state space")
-    if not check_irreducible_aperiodic(base).irreducible:
-        raise NotIrreducible("base kernel is not irreducible")
+    _require_irreducible(base, "design ODE")
     if kind == "spd" and space.n_exo > 1:
         warnings.warn(
             "system-perspective design treats all transition randomness as "

@@ -440,6 +440,8 @@ def build_tcl_model(spec: TclModelSpec, samples_per_state: int = 20000,
     mode 1 running.  The jump kernel factors exactly as policy times
     temperature kernel: S0(x, (m', c')) = R0(x, m') Q0(x, c').
     """
+    exact_on, exact_off = deterministic_cycle_steps(spec, "exact")
+    drift_on, drift_off = deterministic_cycle_steps(spec, "drift")
     q0 = estimate_q0(spec, samples_per_state=samples_per_state, seed=seed)
     r0 = _mode_policy(spec)
     n = spec.cells
@@ -452,8 +454,6 @@ def build_tcl_model(spec: TclModelSpec, samples_per_state: int = 20000,
     space = LoadStateSpace(n_control=2, n_exo=n,
                            util=StateFunction(util, units="kW"),
                            anchor=0, exo_kernel=q0.kernel)
-    exact_on, exact_off = deterministic_cycle_steps(spec, "exact")
-    drift_on, drift_off = deterministic_cycle_steps(spec, "drift")
     fall_on, rise_off = drift_per_step(spec)
     diagnostics = {
         "retain_sample": thermal_decay(spec, spec.sample_period_s),
@@ -472,13 +472,18 @@ def deterministic_cycle_steps(spec: TclModelSpec, model: str) -> tuple[int, int]
     """Steps to cross the band downward (running) and upward (idle).
 
     ``model`` selects the exact exponential recursion or its constant-drift
-    surrogate; no noise, pure threshold switching at the band edges.
+    surrogate; no noise, pure threshold switching at the band edges.  A
+    running floor at or above ``band_low`` is refused: the exact recursion
+    only approaches the floor, so the running leg would never cross.
     """
     if model not in ("exact", "drift"):
         raise ValidationError("model must be 'exact' or 'drift'")
     retain = thermal_decay(spec, spec.sample_period_s)
     fall_on, rise_off = drift_per_step(spec)
     floor = spec.theta_a - spec.resistance * spec.power_kw
+    if floor >= spec.band_low:
+        raise ValidationError(f"running floor {floor:g} is not below the comfort band "
+                              f"[{spec.band_low:g}, {spec.band_high:g}]")
     counts = []
     for mode in (1, 0):
         theta = spec.band_high if mode == 1 else spec.band_low

@@ -122,9 +122,10 @@ class TestModel:
         ("tcl", {"noise_var": -1.0}),
         ("tcl", {"gamma": 0.0}),
         ("tcl", {"rho": 0.0}),
+        ("tcl", {"power_kw": 6.125}),
     ], ids=["tcl_cannot_cool", "tcl_band_empty", "tcl_sample_period_zero",
             "pool_slot_minutes_zero", "pool_hazard_shape_zero", "tcl_noise_var_negative",
-            "tcl_gamma_zero", "tcl_rho_zero"])
+            "tcl_gamma_zero", "tcl_rho_zero", "tcl_band_uncrossable"])
     def test_spec_field_out_of_range(self, tmp_path, capsys, kind, doc):
         spec = tmp_path / "spec.json"
         write_json(spec, doc)
@@ -202,6 +203,11 @@ class TestDesign:
         assert run(["design", "--model", workdir["model"], "--kind", "myopic",
                     "--zeta-max", "1.0", "--step", "0.05", "--out", out]) == 0
         assert load_family(out).kind == "myopic"
+
+    def test_non_numeric_is_argument_error(self, workdir, tmp_path, capsys):
+        assert run(["design", "--model", workdir["model"], "--kind", "ipd",
+                    "--zeta-max", "abc", "--out", tmp_path / "f.json"]) == 2
+        assert "argument --zeta-max: 'abc' is not a number" in capsys.readouterr().err
 
     def test_step_nonpositive_is_argument_error(self, workdir, tmp_path):
         assert run(["design", "--model", workdir["model"], "--kind", "ipd",

@@ -126,8 +126,16 @@ class TestLift:
         for c in range(3):
             np.testing.assert_array_equal(pair[:, 2 * c], pair[:, 2 * c + 1])
 
+    def test_wrong_length_refused(self):
+        with pytest.raises(ValidationError):
+            lift_control(simple_space([1.0, 0.0]), [1.0, 2.0, 3.0])
+
 
 class TestTilt:
+    def test_wrong_shape_refused(self):
+        with pytest.raises(ValidationError):
+            tilt(two_state(0.3, 0.2), np.zeros((3, 3)))
+
     def test_two_state_closed_form(self):
         base = StochasticMatrix(np.full((2, 2), 0.5))
         pair = np.tile([0.0, 1.0], (2, 1))
@@ -332,6 +340,10 @@ class TestDesignMaps:
         with pytest.raises(AdjointProductReducible):
             spd_map(cycle_chain(4), np.array([1.0, 0.0, 0.0, -1.0]))
 
+    def test_spd_rejects_reducible_kernel(self):
+        with pytest.raises(NotIrreducible):
+            spd_map(StochasticMatrix(np.eye(2)), [1.0, 0.0])
+
     def test_maps_agree_for_reversible_lazy_chain(self):
         # for a reversible kernel the doubled kernel is P^2; the two rules
         # still differ unless P^2 = P, so only check both anchor and units
@@ -368,6 +380,13 @@ def ode_family(d=3, zeta_max=1.0, step=0.01, kind="ipd", util=None,
 
 
 class TestDesignOde:
+    @pytest.mark.parametrize("kind,d", [("myopic", 2), ("ipd", 3)],
+                             ids=["generator_kind", "base_larger_than_space"])
+    def test_refusals(self, kind, d):
+        with pytest.raises(ValidationError):
+            solve_design_ode(random_chain(np.random.default_rng(7), d),
+                             simple_space([1.0, 0.0]), kind, 0.1)
+
     def test_zero_command_is_nominal(self):
         fam = ode_family()
         assert np.abs(fam.h_at(0.0)).max() == 0.0
@@ -489,6 +508,14 @@ class TestDesignOde:
 
 
 class TestExponentialFamilies:
+    @pytest.mark.parametrize("kind,step,generator", [
+        ("myopic", 0.5, None), ("ipd", 0.01, None), ("myopic", 0.01, [1.0, 0.0]),
+    ], ids=["step_above_zeta_max", "ode_kind", "myopic_with_generator"])
+    def test_refusals(self, kind, step, generator):
+        with pytest.raises(ValidationError):
+            build_exponential_family(two_state(0.3, 0.2), simple_space([1.0, 0.0]),
+                                     kind, 0.1, step=step, generator=generator)
+
     def test_myopic_generator_is_output(self, rng):
         base = random_chain(rng, 4)
         util = rng.normal(size=4)
@@ -541,6 +568,14 @@ class TestExponentialFamilies:
 
 
 class TestFamilyContainer:
+    @pytest.mark.parametrize("zeta_grid,h_grid", [
+        ([], np.zeros((0, 2))), ([-0.1, 0.0, 0.1], [[0.0, 0.0], [0.0, 0.0], [math.inf, 0.0]]),
+    ], ids=["empty_grid", "infinite_h"])
+    def test_refusals(self, zeta_grid, h_grid):
+        with pytest.raises(ValidationError):
+            DesignFamily(simple_space([1.0, 0.0]), two_state(0.3, 0.2), "ipd",
+                         FamilyStructure(), zeta_grid, h_grid)
+
     def test_out_of_grid(self):
         fam = ode_family(zeta_max=0.5)
         with pytest.raises(OutOfGrid):
@@ -768,9 +803,9 @@ class TestOneFactorization:
 
     def test_design_classifies_its_base_once(self, monkeypatch):
         calls = []
-        components = markov._strong_components
-        monkeypatch.setattr(markov, "_strong_components",
-                            lambda adj: calls.append(1) or components(adj))
+        classify = markov._classify
+        monkeypatch.setattr(markov, "_classify",
+                            lambda succ: calls.append(1) or classify(succ))
         base = random_chain(np.random.default_rng(7), 3)
         space = simple_space([1.0, 0.0, -1.0])
         ipd_map(base, space.util)  # what --util-scale auto evaluates

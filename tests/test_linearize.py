@@ -17,6 +17,7 @@ from ddispatch.design import (
 from ddispatch.errors import NearSingular, UnstablePole, ValidationError
 from ddispatch.linearize import (
     MAX_THETA_COUNT,
+    FrequencyResponse,
     LinearModel,
     b_adjoint_form,
     bode_export,
@@ -59,6 +60,10 @@ def two_state_model(a=0.3, b=0.2, beta=0.4):
 
 
 class TestKernelDerivative:
+    def test_wrong_shape_refused(self):
+        with pytest.raises(ValidationError):
+            kernel_derivative(two_state(0.3, 0.2), np.zeros((2, 3)))
+
     def test_constant_pair_gives_zero(self, rng):
         p = random_chain(rng, 5)
         deriv = kernel_derivative(p, np.full((5, 5), 3.7))
@@ -108,6 +113,14 @@ class TestKernelDerivative:
 
 
 class TestLinearModel:
+    @pytest.mark.parametrize("b", [[0.5, 0.0, -0.5], [math.nan, 0.0]],
+                             ids=["wrong_dimensions", "nan_in_b"])
+    def test_refusals(self, b):
+        with pytest.raises(ValidationError):
+            LinearModel(a=two_state(0.3, 0.3).entries.T.copy(), b=np.array(b),
+                        c=np.array([1.0, -1.0]), sigma2=1.0, zeta=0.0,
+                        pi=Pmf(np.array([0.5, 0.5])))
+
     def test_validation(self):
         pi = Pmf(np.array([0.5, 0.5]))
         a = two_state(0.3, 0.3).entries.T.copy()
@@ -346,6 +359,11 @@ class TestTransferEval:
 
 
 class TestCovariance:
+    def test_negative_lag_refused(self):
+        p = two_state(0.3, 0.2)
+        with pytest.raises(ValidationError):
+            covariance_sequence(p, invariant_pmf(p), [1.0, 0.0], [1.0, 0.0], -1)
+
     def test_variance_at_lag_zero(self, rng):
         p = random_chain(rng, 5)
         pi = invariant_pmf(p)
@@ -380,6 +398,12 @@ class TestCovariance:
 
 
 class TestPositiveReal:
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(ValidationError):
+            FrequencyResponse(theta_grid=np.zeros(3), g_values=np.zeros(2),
+                              g_plus_values=np.zeros(3), realness_margin=0.0,
+                              sigma2=0.0, zeta=0.0, max_residual=0.0)
+
     def test_spd_family_margin_nonnegative(self):
         chain = random_chain(np.random.default_rng(53), 4)
         fam = solve_design_ode(chain, simple_space([1.0, 0.4, -0.2, -1.2]),

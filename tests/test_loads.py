@@ -11,6 +11,7 @@ from ddispatch import (
     NotIrreducible,
     ValidationError,
 )
+from ddispatch import loads as loads_module
 from ddispatch.design import FamilyStructure, build_exponential_family
 from ddispatch.fileio import write_json
 from ddispatch.loads import (
@@ -389,6 +390,19 @@ class TestTclModel:
         assert deterministic_cycle_steps(spec, "exact") == (451, 601)
         with pytest.raises(ValidationError):
             deterministic_cycle_steps(spec, "euler")
+
+    @pytest.mark.parametrize("mode", ["exact", "drift"])
+    @pytest.mark.parametrize("power_kw", [6.125, 6.0])  # floor 19.75 in the band; 20.0, no drift
+    def test_uncrossable_band_refused(self, mode, power_kw):
+        with pytest.raises(ValidationError, match="running floor .* not below"):
+            deterministic_cycle_steps(TclModelSpec(power_kw=power_kw), mode)
+
+    def test_uncrossable_band_refused_before_sampling(self, monkeypatch):
+        def sample(*args, **kwargs):
+            raise AssertionError("estimate_q0 ran")
+        monkeypatch.setattr(loads_module, "estimate_q0", sample)
+        with pytest.raises(ValidationError, match="running floor"):
+            build_tcl_model(TclModelSpec(power_kw=6.125), samples_per_state=1000)
 
     def test_round_trip(self, tcl, tmp_path):
         path = tmp_path / "tcl.json"

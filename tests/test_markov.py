@@ -85,8 +85,42 @@ class TestTypes:
         assert f.units == "kW"
         assert f.dim == 2
 
+    @pytest.mark.parametrize("build,arg", [
+        (StochasticMatrix, [0.5, 0.5]),
+        (StochasticMatrix, [[0.5, 0.5], [np.nan, 0.5]]),
+        (Pmf, [[0.5, 0.5]]),
+        (StateFunction, [[0.5, 0.5]]),
+        (Pmf, [np.inf, 0.0]),
+        (StateFunction, [np.nan, 0.0]),
+        (lambda v: markov.as_values(v, 3), [1.0, 2.0]),
+    ], ids=["matrix_1d", "matrix_nan", "pmf_2d", "function_2d", "pmf_infinite",
+            "function_nan", "values_wrong_length"])
+    def test_refusals(self, build, arg):
+        with pytest.raises(ValidationError):
+            build(np.array(arg))
+
 
 class TestStructure:
+    @pytest.mark.parametrize("d,edges,report,partition", [
+        (3, [(0, 1), (1, 1), (1, 2), (2, 1)], (False, True), [{0}, {1, 2}]),
+        (3, [(0, 1), (1, 2), (2, 0)], (True, False), [{0, 1, 2}]),
+        (3, [(0, 1), (1, 2), (2, 0), (1, 0)], (True, True), [{0, 1, 2}]),
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 0)], (True, False), [{0, 1, 2, 3}]),
+        (3, [(0, 0), (0, 1), (1, 2), (2, 1)], (False, False), [{0}, {1, 2}]),
+        (5, [(0, 1), (1, 0), (2, 2), (2, 3), (3, 2), (4, 0), (4, 2)], (False, False),
+         [{0, 1}, {2, 3}, {4}]),
+    ], ids=["transient_into_self_loop_class", "three_cycle", "three_cycle_chord",
+            "four_cycle_chord", "transient_self_loop_into_two_cycle",
+            "periodic_aperiodic_and_transient"])
+    def test_hand_built_graphs(self, d, edges, report, partition):
+        m = np.zeros((d, d))
+        m[tuple(zip(*edges))] = 1.0
+        p = StochasticMatrix(m / m.sum(axis=1, keepdims=True))
+        assert tuple(check_irreducible_aperiodic(p)) == report
+        label, _ = markov._classify(markov._adjacency(p.support))
+        groups = {frozenset(x for x in range(d) if label[x] == c) for c in label}
+        assert groups == {frozenset(c) for c in partition}
+
     def test_identity_not_irreducible(self):
         rep = check_irreducible_aperiodic(StochasticMatrix(np.eye(2)))
         assert not rep.irreducible
@@ -300,6 +334,15 @@ class TestAdjoint:
 
 
 class TestPoisson:
+    @pytest.mark.parametrize("p,f,anchor,error", [
+        (two_state(0.1, 0.2), [1.0, 0.0, 0.0], 0, ValidationError),
+        (two_state(0.1, 0.2), [1.0, 0.0], 5, ValidationError),
+        (StochasticMatrix(np.eye(2)), [1.0, 0.0], 0, NotIrreducible),
+    ], ids=["wrong_length", "anchor_outside", "reducible"])
+    def test_refusals(self, p, f, anchor, error):
+        with pytest.raises(error):
+            poisson_solve(p, f, anchor=anchor)
+
     def test_hand_computed_two_state(self):
         # For P = [[.9, .1], [.2, .8]] and f = (1, 0): pi(f) = 2/3 and the
         # anchored solution is h = (0, -10/3).
@@ -330,6 +373,11 @@ class TestPoisson:
 
 
 class TestEntropyRate:
+    def test_shape_mismatch_refused(self, rng):
+        p = random_chain(rng, 2)
+        with pytest.raises(ValidationError):
+            relative_entropy_rate(p, random_chain(rng, 3), invariant_pmf(p))
+
     def test_identical_chains_rate_zero(self, rng):
         p = random_chain(rng, 6)
         assert relative_entropy_rate(p, p, invariant_pmf(p)) == 0.0
@@ -401,6 +449,10 @@ class TestEntropyRate:
 
 
 class TestComposition:
+    def test_shape_mismatch_refused(self, rng):
+        with pytest.raises(ValidationError):
+            compose(random_chain(rng, 2), random_chain(rng, 3))
+
     def test_product_row_stochastic(self, rng):
         a = random_chain(rng, 6)
         b = sparse_random_chain(rng, 6)

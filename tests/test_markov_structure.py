@@ -7,7 +7,7 @@ import pytest
 from ddispatch.markov import (
     StochasticMatrix,
     _adjacency,
-    _strong_components,
+    _classify,
     check_irreducible_aperiodic,
 )
 
@@ -65,9 +65,10 @@ def _primitive(a):
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(masks())
 def test_components_match_transitive_closure(m):
-    comps = _strong_components(_adjacency(m))
-    assert sorted(v for c in comps for v in c) == list(range(m.shape[0]))
-    assert {frozenset(c) for c in comps} == _closure_partition(m)
+    label, _ = _classify(_adjacency(m))
+    assert len(label) == m.shape[0]
+    groups = {frozenset(x for x in range(len(label)) if label[x] == c) for c in label}
+    assert groups == _closure_partition(m)
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
@@ -96,4 +97,4 @@ def test_long_cycle_does_not_recurse():
     d = 3000
     m = np.zeros((d, d), dtype=bool)
     m[np.arange(d), (np.arange(d) + 1) % d] = True
-    assert len(_strong_components(_adjacency(m))) == 1
+    assert len(set(_classify(_adjacency(m))[0])) == 1

@@ -186,6 +186,14 @@ class TestMeanfieldStep:
 
 
 class TestFleet:
+    @pytest.mark.parametrize("call", [
+        lambda: FleetState.from_states([[0, 1], [1, 0]], 2),
+        lambda: FleetState.from_states([0, 1], 2).empirical_pmf(3),
+    ], ids=["states_2d", "pmf_wrong_dimension"])
+    def test_refusals(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
     def test_empirical_pmf_sums_to_one(self, fam):
         state, _ = fleet_init(fam, 100, seed=1)
         pmf = state.empirical_pmf(fam.space.dim)
@@ -491,6 +499,17 @@ class TestFleet:
 
 
 class TestTracking:
+    def test_unknown_plant_refused(self, fam):
+        with pytest.raises(ValidationError, match="unknown plant"):
+            track(fam, np.zeros(10), plant="swarm")
+
+    def test_constant_output_refused(self):
+        chain = StochasticMatrix(np.random.default_rng(3).dirichlet(np.ones(3), size=3))
+        space = LoadStateSpace(n_control=3, n_exo=1, util=StateFunction(np.full(3, 2.0)))
+        flat = build_exponential_family(chain, space, "myopic", 0.5, step=0.1)
+        with pytest.raises(ValidationError, match="zero DC gain"):
+            track(flat, np.zeros(10))
+
     def test_equilibrium_zero_reference(self, fam):
         out = track(fam, np.zeros(100))
         assert np.abs(out["zeta"]).max() < 1e-12
@@ -613,6 +632,8 @@ class TestSignalSet:
             SignalSet(period_s=1.0, samples={})
         with pytest.raises(ValidationError):
             SignalSet(period_s=1.0, samples={"a": [1.0, 2.0], "b": [1.0]})
+        with pytest.raises(ValidationError):
+            SignalSet(period_s=1.0, samples={"a": [[1.0, 2.0]]})
 
     def test_csv_round_trip(self):
         rng = np.random.default_rng(2)
@@ -655,6 +676,12 @@ class TestSignalSet:
 
 
 class TestDecompose:
+    @pytest.mark.parametrize("values,period_s", [(np.ones((2, 50)), 1.0), (np.ones(50), 0.0)],
+                             ids=["signal_2d", "period_zero"])
+    def test_refusals(self, values, period_s):
+        with pytest.raises(ValidationError):
+            frequency_decompose(values, 1e-3, 1e-2, period_s)
+
     def test_telescoping_exact(self):
         rng = np.random.default_rng(4)
         x = 4.0 + rng.normal(size=5000).cumsum() * 0.01
