@@ -30,7 +30,8 @@ from .loads import (MAX_SAMPLES_PER_STATE, MIN_SAMPLES_PER_STATE,
                     LoadModel, PoolModelSpec, TclModelSpec, build_pool_model,
                     build_tcl_model, load_model, save_model, synthesis_inputs,
                     tcl_trajectory, trajectory_to_csv)
-from .markov import StateFunction, StochasticMatrix, check_irreducible_aperiodic
+from .markov import (StateFunction, StochasticMatrix, _record,
+                     check_irreducible_aperiodic)
 from .sim import (MAX_FLEET_SIZE, SignalSet, TrackingConfig, fleet_rollout,
                   frequency_decompose, meanfield_rollout, track, tracking_metrics)
 
@@ -293,7 +294,7 @@ def _controller(doc) -> TrackingConfig:
                           anti_windup=field(doc, "anti_windup", boolean, True))
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+@_record
 class Scenario:
     """A ``simulate`` scenario document, read once with every field checked;
     ``family`` is ``None`` only for a trajectory run without one."""
@@ -444,7 +445,7 @@ def run(argv=None) -> int:
     """Process entry point: :func:`main`, after moving every object alive at
     start-up to the collector's permanent generation, which the collection
     at interpreter exit skips.  Those are ~22 000 objects: half the
-    interpreter's own, 9 000 numpy's and 2 000 the package's.  Walking them
+    interpreter's own, 9 000 numpy's and 1 900 the package's.  Walking them
     took ~30 ms of every CLI process on a 2-core VM.  ``python3 -m ddispatch`` and the
     ``ddispatch`` script start here; callers that stay in their process
     call :func:`main`, which freezes nothing, so their collector keeps

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from .markov import (
     _gth,
     _lu_invariant,
     _poisson_raw,
+    _record,
     _require_irreducible,
     _reversal_raw,
     _row_layout,
@@ -98,7 +98,7 @@ ODE_KINDS = ("ipd", "spd")
 GENERATOR_KINDS = ("myopic", "ipd0", "custom")
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class LoadStateSpace:
     """State bookkeeping for one load class.
 
@@ -338,7 +338,7 @@ def _zero_direction(kind: str, base: StochasticMatrix,
     return design_map(base, space.util, anchor=space.anchor).values.copy()
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class FamilyStructure:
     """How a family's kernels relate to the physical sampling mechanism.
 

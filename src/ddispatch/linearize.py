@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NearSingular, UnstablePole, ValidationError
 from .fileio import write_csv
 from .markov import (Pmf, Schedule, StochasticMatrix, as_values, _frozen,
-                     _reversal_raw, _schedule)
+                     _record, _reversal_raw, _schedule)
 
 __all__ = [
     "LinearModel",
@@ -97,7 +96,7 @@ def _successor_only(pair: np.ndarray) -> bool:
     return bool(np.abs(pair - pair[0]).max() <= 1e-12 * scale)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class LinearModel:
     """State-space model (A, B, C) of the fleet pmf around one command.
 
@@ -276,7 +275,7 @@ def _check_stable(model: LinearModel):
         )
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class FrequencyResponse:
     """Transfer function of a model sampled on a uniform grid over [0, pi].
 

@@ -11,7 +11,7 @@ temperature kernel is estimated by Monte Carlo from the thermal recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, field
 
 import numpy as np
 
@@ -20,7 +20,8 @@ from .errors import InfeasibleDutyCycle, LatticeMismatch, ValidationError
 from .fileio import (document, envelope, finite, json_object, malformed,
                      model_digest, numbers, read_json, spec_from_json, write_csv,
                      write_json)
-from .markov import Pmf, StateFunction, StochasticMatrix, geometric_mix, invariant_pmf
+from .markov import (StateFunction, StochasticMatrix, _record, geometric_mix,
+                     invariant_pmf)
 
 __all__ = [
     "PoolModelSpec",
@@ -54,7 +55,7 @@ MAX_SAMPLES_PER_STATE = 10**7
 # -- pool pumps ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record(eq=True)
 class PoolModelSpec:
     """Pool pump fleet parameters.
 
@@ -138,7 +139,7 @@ def fit_sojourn_hazard(rungs: int, target_steps: float,
     return sigma, _hazard(cdf)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class NatureKernel:
     """Exogenous-coordinate kernel with its estimation provenance."""
 
@@ -146,7 +147,7 @@ class NatureKernel:
     provenance: dict = field(default_factory=lambda: {"method": "analytic"})
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class LoadModel:
     """A built load fleet: jump kernel, sampling rate, and state bookkeeping.
 
@@ -266,7 +267,7 @@ def build_pool_model(spec: PoolModelSpec) -> LoadModel:
 # -- cooling units ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record(eq=True)
 class TclModelSpec:
     """Thermostatic cooling unit parameters.
 
@@ -505,7 +506,7 @@ def deterministic_cycle_steps(spec: TclModelSpec, model: str) -> tuple[int, int]
     return counts[0], counts[1]
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class TclTrajectory:
     """One unit's simulated path: per-step temperature, mode, and command."""
 

@@ -20,9 +20,10 @@ twice.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import inspect
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +71,103 @@ def _check_row_sums(sums: np.ndarray):
         raise ValidationError(f"row sums deviate from 1 by {row_err:.3e}")
 
 
+class _FactoryDefault:
+    """Stands in a record's signature for a field's ``default_factory``."""
+
+    def __repr__(self):
+        return "<factory>"
+
+
+def _record(cls=None, /, *, eq=False):
+    """Frozen dataclass with methods written here rather than generated.
+
+    ``@_record`` makes the class ``@dataclass(frozen=True, eq=False)`` would
+    make, and ``@_record(eq=True)`` the one ``@dataclass(frozen=True)`` would,
+    without the ``exec`` that ``dataclasses`` runs for every method it writes
+    (most of the package's import time).  ``dataclass`` is asked to generate
+    nothing, so it only records the fields, and ``fields``, ``replace`` and
+    ``asdict`` work as usual.  The methods below then go into the class's own
+    dict: ``__init__`` (by position or keyword, with defaults, a fresh
+    ``default_factory`` value per instance, then ``__post_init__``),
+    ``__repr__``, ``__setattr__`` and ``__delattr__`` raising
+    ``FrozenInstanceError``, and with ``eq`` the value ``__eq__`` and
+    ``__hash__``; ``__signature__`` lists the fields.  A field may set a
+    ``default`` or ``default_factory`` and nothing else.
+    """
+    if cls is None:
+        return functools.partial(_record, eq=eq)
+    fields = dataclasses.fields(dataclasses.dataclass(cls, init=False, repr=False, eq=False))
+    if any(not (f.init and f.repr and f.compare) or f.hash is not None or f.kw_only
+           for f in fields):
+        raise TypeError(f"{cls.__qualname__}: record fields take only a default or factory")
+    names = tuple(f.name for f in fields)
+    defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+    factories = {f.name: f.default_factory for f in fields
+                 if f.default_factory is not dataclasses.MISSING}
+    post_init = hasattr(cls, "__post_init__")
+
+    def bind(args, kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} positional "
+                            f"arguments but {len(args)} were given")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in factories:
+                values.append(factories[name]())
+            elif name in defaults:
+                values.append(defaults[name])
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            why = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__qualname__}() got {why} argument {name!r}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        self.__dict__.update(zip(names, args))
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __repr__, __setattr__, __delattr__):
+        setattr(cls, method.__name__, method)
+    if eq:
+        def values(self):
+            return tuple(getattr(self, name) for name in names)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return values(self) == values(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(values(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+    factory = _FactoryDefault()
+    cls.__signature__ = inspect.Signature(
+        [inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                           default=factory if f.name in factories
+                           else defaults.get(f.name, inspect.Parameter.empty),
+                           annotation=f.type) for f in fields],
+        return_annotation=None)
+    return cls
+
+
 class Nonzeros(NamedTuple):
     """Nonzeros of a matrix in row-major order, as read-only arrays.
 
@@ -83,7 +181,7 @@ class Nonzeros(NamedTuple):
     starts: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class StochasticMatrix:
     """Row-stochastic matrix.
 
@@ -141,7 +239,7 @@ class StochasticMatrix:
         return StructureReport(len(set(label)) == 1, aperiodic)
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class Pmf:
     """Probability vector over state indices."""
 
@@ -168,7 +266,7 @@ class Pmf:
         return float(self.weights @ as_values(f))
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class StateFunction:
     """Real-valued function on the state space, with a units tag."""
 
@@ -368,7 +466,7 @@ class Pivot(NamedTuple):
     targets: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class Schedule:
     """Symbolic elimination of a square support pattern, diagonal included.
 

@@ -15,14 +15,13 @@ default gains come from the DC gain of the command-to-power linearization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadCutoffs, ValidationError
 from .fileio import field, read_csv, write_csv
 from .linearize import dc_gain, linearize
-from .markov import Pmf, as_values
+from .markov import Pmf, _record, as_values
 
 __all__ = [
     "SignalSet",
@@ -42,7 +41,7 @@ __all__ = [
 # -- signal containers -----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class SignalSet:
     """Named, equal-length sampled signals sharing one sample period."""
 
@@ -152,7 +151,7 @@ def meanfield_rollout(family, zetas, mu0: Pmf | None = None):
 MAX_FLEET_SIZE = 10**7
 
 
-@dataclass(frozen=True, eq=False)
+@_record
 class FleetState:
     """N exchangeable agents, held as the number of agents in each state.
 
@@ -258,7 +257,7 @@ def fleet_rollout(family, zetas, n: int, seed: int, mu0: Pmf | None = None):
 # -- reference tracking ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_record(eq=True)
 class TrackingConfig:
     """Feedback law around the plant: none, proportional, or PI.
 

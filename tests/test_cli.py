@@ -994,6 +994,29 @@ class TestEntryPoint:
                     found.append(f"{path.name}:{node.lineno} os.environ")
         assert found == []
 
+    def test_every_import_is_used(self):
+        # a name a module imports is read in it or republished by its __all__
+        package = pathlib.Path(importlib.import_module("ddispatch").__file__).parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update({a.asname or a.name.partition(".")[0]: node.lineno
+                                     for a in node.names})
+                elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                    imported.update({a.asname or a.name: node.lineno
+                                     for a in node.names if a.name != "*"})
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in tree.body:
+                if (isinstance(node, ast.Assign)
+                        and [ast.unparse(t) for t in node.targets] == ["__all__"]):
+                    used.update(ast.literal_eval(node.value))
+            found += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                      if name not in used]
+        assert found == []
+
     def test_only_fileio_writes_or_hashes(self):
         # the on-disk formats live in one module: no other module writes a
         # file, encodes JSON or hashes a document
