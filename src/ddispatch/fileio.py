@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import itertools
 import json
 import math
@@ -56,6 +55,7 @@ def write_json(path, doc: dict):
 def model_digest(doc: dict) -> str:
     """Stable content hash of a document: the SHA-256 of the bytes
     :func:`write_json` writes for it."""
+    import hashlib  # loaded here: only the stages that print a digest hash
     return hashlib.sha256(_canonical(doc).encode()).hexdigest()
 
 

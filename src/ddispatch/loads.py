@@ -124,14 +124,14 @@ def fit_sojourn_hazard(rungs: int, target_steps: float,
             f"{rungs} rungs (must lie strictly between 1 and {rungs})"
         )
     distance = (rungs - np.arange(1, rungs + 1, dtype=float)) / rungs
-    lo, hi = -8.0, 8.0  # log10 of the scale
-    for _ in range(200):
+    # bisect log10 of the scale until the bracket stops changing: it only
+    # shrinks and floats are finite, and every later step would repeat it
+    bracket, last = (-8.0, 8.0), None
+    while bracket != last:
+        (lo, hi), last = bracket, bracket
         mid = 0.5 * (lo + hi)
         mean = _mean_sojourn(_sojourn_cdf(distance, 10.0 ** mid, shape))
-        if mean > target_steps:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if mean > target_steps else (lo, mid)
     sigma = 10.0 ** (0.5 * (lo + hi))
     cdf = _sojourn_cdf(distance, sigma, shape)
     if abs(_mean_sojourn(cdf) - target_steps) > 1e-6 * max(1.0, target_steps):
@@ -473,9 +473,17 @@ def deterministic_cycle_steps(spec: TclModelSpec, model: str) -> tuple[int, int]
     """Steps to cross the band downward (running) and upward (idle).
 
     ``model`` selects the exact exponential recursion or its constant-drift
-    surrogate; no noise, pure threshold switching at the band edges.  A
-    running floor at or above ``band_low`` is refused: the exact recursion
-    only approaches the floor, so the running leg would never cross.
+    surrogate; no noise, pure threshold switching at the band edges.  Each
+    leg is solved in closed form and takes at least one step.  The exact
+    recursion sits at pull + (start - pull) r^k after k steps, with r from
+    :func:`thermal_decay` over one sample, so a leg takes
+    ceil(ln((target - pull) / (start - pull)) / ln r) steps, the log taken
+    by ``log1p``; pull is the running floor ``theta_a - resistance *
+    power_kw`` on the running leg and ``theta_a`` on the idle leg.  A drift
+    leg takes ceil((band_high - band_low) / drift) steps, with the drifts of
+    :func:`drift_per_step`.  Refused: a running floor at or above
+    ``band_low``, which the exact recursion only approaches, and an r that
+    rounds to 1, where no sample moves the unit.
     """
     if model not in ("exact", "drift"):
         raise ValidationError("model must be 'exact' or 'drift'")
@@ -485,25 +493,16 @@ def deterministic_cycle_steps(spec: TclModelSpec, model: str) -> tuple[int, int]
     if floor >= spec.band_low:
         raise ValidationError(f"running floor {floor:g} is not below the comfort band "
                               f"[{spec.band_low:g}, {spec.band_high:g}]")
-    counts = []
-    for mode in (1, 0):
-        theta = spec.band_high if mode == 1 else spec.band_low
-        target = spec.band_low if mode == 1 else spec.band_high
-        steps = 0
-        limit = 10_000_000
-        while steps < limit:
-            if model == "exact":
-                pull = floor if mode == 1 else spec.theta_a
-                theta = theta + (1.0 - retain) * (pull - theta)
-            else:
-                theta = theta + (-fall_on if mode == 1 else rise_off)
-            steps += 1
-            if (mode == 1 and theta <= target) or (mode == 0 and theta >= target):
-                break
-        else:
-            raise ValidationError("band crossing did not terminate")
-        counts.append(steps)
-    return counts[0], counts[1]
+    if retain == 1.0:
+        raise ValidationError("thermal time constant too long: a sample moves nothing")
+    width = spec.band_high - spec.band_low
+    if model == "drift":
+        steps = (width / fall_on, width / rise_off)
+    else:
+        ln_r = math.log(retain) if retain > 0.0 else -math.inf
+        steps = (math.log1p(-width / (spec.band_high - floor)) / ln_r,
+                 math.log1p(-width / (spec.theta_a - spec.band_low)) / ln_r)
+    return max(1, math.ceil(steps[0])), max(1, math.ceil(steps[1]))
 
 
 @_record

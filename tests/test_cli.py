@@ -878,6 +878,24 @@ class TestEntryPoint:
         assert "decompose" in proc.stdout
         assert proc.stdout.splitlines()[-1] == "loaded: []"
 
+    def test_cli_import_loads_no_hashlib(self):
+        # only the stages that print a digest hash, so hashlib loads when
+        # a digest is taken, not with the package
+        code = "\n".join([
+            "import sys",
+            "import numpy",
+            "before = set(sys.modules)",
+            "import ddispatch.cli",
+            "print(sorted(m for m in set(sys.modules) - before if 'hashlib' in m))",
+            "from ddispatch.fileio import model_digest",
+            "model_digest({})",
+            "print('hashlib' in sys.modules)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "True"]
+
     def test_process_entry_freezes_the_import_heap(self):
         # ``python -m ddispatch`` runs cli.run, which freezes what the
         # imports made, and still ends in SystemExit with main's code

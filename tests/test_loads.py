@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from ddispatch.loads import (
     _mode_policy,
     PoolModelSpec,
     TclModelSpec,
+    _hazard,
+    _mean_sojourn,
+    _sojourn_cdf,
     build_pool_model,
     build_tcl_model,
     deterministic_cycle_steps,
@@ -48,7 +52,35 @@ def sojourn_mean_from_hazard(hazard):
     return 1.0 + survival[:-1].sum()
 
 
+def bisected_sojourn_scale(rungs, target_steps, shape):
+    """The sojourn fit's scale after a fixed 200 bisection steps."""
+    distance = (rungs - np.arange(1, rungs + 1, dtype=float)) / rungs
+    lo, hi = -8.0, 8.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _mean_sojourn(_sojourn_cdf(distance, 10.0 ** mid, shape)) > target_steps:
+            lo = mid
+        else:
+            hi = mid
+    return 10.0 ** (0.5 * (lo + hi))
+
+
 class TestSojournFit:
+    def test_fixed_point_is_the_200_step_fit(self):
+        # bisection stops once its bracket stops changing; every later
+        # step would repeat that bracket, so the fit is bitwise the one a
+        # fixed 200 steps give, on the pool's default targets and at random
+        rng = np.random.default_rng(28)
+        cases = [(48, 24.0, 2.0)] + [
+            (rungs, float(rng.uniform(1.05, rungs - 0.05)), float(rng.uniform(0.5, 5.0)))
+            for rungs in rng.integers(2, 200, size=200).tolist()]
+        for rungs, target, shape in cases:
+            sigma, hazard = fit_sojourn_hazard(rungs, target, shape)
+            expected = bisected_sojourn_scale(rungs, target, shape)
+            distance = (rungs - np.arange(1, rungs + 1, dtype=float)) / rungs
+            assert sigma == expected, (rungs, target, shape)
+            assert np.array_equal(hazard, _hazard(_sojourn_cdf(distance, expected, shape)))
+
     def test_mean_hits_target(self):
         for target in (5.0, 24.0, 40.0):
             sigma, hazard = fit_sojourn_hazard(48, target)
@@ -437,6 +469,143 @@ class TestTclModel:
         doc["payload"] = "design-family"
         with pytest.raises(ValidationError):
             LoadModel.from_json(doc)
+
+
+def stepped_cycle_steps(spec, model):
+    """Band crossings stepped one sample at a time, the way they were
+    counted before the closed form (without that loop's 10^7-step cap)."""
+    retain = thermal_decay(spec, spec.sample_period_s)
+    fall_on, rise_off = drift_per_step(spec)
+    floor = spec.theta_a - spec.resistance * spec.power_kw
+    counts = []
+    for mode in (1, 0):
+        theta = spec.band_high if mode == 1 else spec.band_low
+        target = spec.band_low if mode == 1 else spec.band_high
+        steps = 0
+        while True:
+            if model == "exact":
+                pull = floor if mode == 1 else spec.theta_a
+                theta = theta + (1.0 - retain) * (pull - theta)
+            else:
+                theta = theta + (-fall_on if mode == 1 else rise_off)
+            steps += 1
+            if (mode == 1 and theta <= target) or (mode == 0 and theta >= target):
+                break
+        counts.append(steps)
+    return counts[0], counts[1]
+
+
+def random_tcl_specs(count, seed):
+    """Valid cooling units whose legs stay under ~10^4 steps.
+
+    A leg takes at most (samples per time constant) x (band width) /
+    (distance from the band to its pull) steps, so the samples per time
+    constant are 10^-1 to 10^4 (log-uniform) times the nearer pull's
+    distance over the width.
+    """
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(count):
+        low, width = float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.1, 5.0))
+        cells = int(rng.integers(2, 40))
+        above, below = float(rng.uniform(0.5, 20.0)), float(rng.uniform(0.05, 10.0))
+        theta_a, floor = low + width + above, low - below
+        resistance = 10.0 ** float(rng.uniform(-1.0, 1.0))
+        period = float(rng.uniform(0.5, 30.0))
+        samples_per_tau = 10.0 ** float(rng.uniform(-1.0, 4.0)) * min(above, below) / width
+        specs.append(TclModelSpec(
+            band_low=low, band_high=low + width,
+            theta_set=float(rng.uniform(low, low + width)), theta_a=theta_a,
+            resistance=resistance,
+            capacitance=samples_per_tau * period / (resistance * 3600.0),
+            power_kw=(theta_a - floor) / resistance, sample_period_s=period,
+            state_count=2 * cells, lattice_step=width / (cells - 1)))
+    return specs
+
+
+def assert_crossings(spec, model, counts):
+    """Each count k puts the recursion's solution on the near side of its
+    target after k - 1 steps and at or past it after k."""
+    r = thermal_decay(spec, spec.sample_period_s)
+    fall_on, rise_off = drift_per_step(spec)
+    floor = spec.theta_a - spec.resistance * spec.power_kw
+    if model == "exact":
+        def running(k):
+            return floor + (spec.band_high - floor) * r ** k
+
+        def idle(k):
+            return spec.theta_a - (spec.theta_a - spec.band_low) * r ** k
+    else:
+        def running(k):
+            return spec.band_high - k * fall_on
+
+        def idle(k):
+            return spec.band_low + k * rise_off
+    on, off = counts
+    assert running(on - 1) > spec.band_low >= running(on), (model, on)
+    assert idle(off - 1) < spec.band_high <= idle(off), (model, off)
+
+
+class TestCycleSteps:
+    """The closed-form band crossings against the stepped recursion.
+
+    The two can differ in two ways only: where a log ratio or a drift
+    ratio is an exact integer, the loop's rounding decides the last step;
+    and a leg the loop refused at its former 10^7-step cap has a count
+    here (``capacitance=1e5`` drift gives exactly 22 500 000).
+    """
+
+    @pytest.mark.parametrize("model", ["exact", "drift"])
+    def test_default_unit(self, model):
+        spec = TclModelSpec()
+        assert deterministic_cycle_steps(spec, model) == (451, 601)
+        assert stepped_cycle_steps(spec, model) == (451, 601)
+        assert_crossings(spec, model, (451, 601))
+
+    @pytest.mark.parametrize("model, counts", [("exact", (2_250_733, 3_001_738)),
+                                               ("drift", (2_250_001, 3_000_001))])
+    def test_slow_unit_pinned(self, model, counts):
+        # the stepped loop gives these counts too, after ~5 M steps
+        spec = TclModelSpec(capacitance=1e4)
+        assert deterministic_cycle_steps(spec, model) == counts
+        assert_crossings(spec, model, counts)
+
+    def test_random_units_match_the_stepped_loop(self):
+        for spec in random_tcl_specs(400, seed=28):
+            for model in ("exact", "drift"):
+                counts = deterministic_cycle_steps(spec, model)
+                assert counts == stepped_cycle_steps(spec, model), (spec, model)
+                assert_crossings(spec, model, counts)
+
+    @pytest.mark.parametrize("change", [{"capacitance": 1e-8}, {"power_kw": 1e308}])
+    def test_one_step_legs(self, change):
+        # retention 0, or a running floor of -inf: the running leg crosses
+        # in one step, as the stepped loop does
+        spec = TclModelSpec(**change)
+        for model in ("exact", "drift"):
+            assert deterministic_cycle_steps(spec, model) == stepped_cycle_steps(spec, model)
+        assert deterministic_cycle_steps(spec, "exact")[0] == 1
+
+    def test_very_slow_unit(self):
+        # the stepped loop refused this valid unit at its 10^7-step cap
+        spec = TclModelSpec(capacitance=1e5)
+        start = time.perf_counter()
+        counts = {model: deterministic_cycle_steps(spec, model)
+                  for model in ("exact", "drift")}
+        assert time.perf_counter() - start < 0.25
+        assert counts == {"exact": (22_507_329, 30_017_380),
+                          "drift": (22_500_000, 30_000_000)}
+        for model, legs in counts.items():
+            assert min(legs) > 10**7
+            assert_crossings(spec, model, legs)
+
+    @pytest.mark.parametrize("model", ["exact", "drift"])
+    def test_motionless_unit_refused(self, model):
+        # one sample's retention rounds to 1, so no sample moves the unit
+        spec = TclModelSpec(capacitance=1e13)
+        assert thermal_decay(spec, spec.sample_period_s) == 1.0
+        with pytest.raises(ValidationError, match="a sample moves nothing"):
+            deterministic_cycle_steps(spec, model)
 
 
 def myopic_tcl_family(tcl, zeta_max=1.0):
