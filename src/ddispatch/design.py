@@ -74,11 +74,9 @@ __all__ = [
     "spd_map",
     "solve_design_ode",
     "build_exponential_family",
-    "geometric_compose",
     "reward_value",
     "optimality_residual",
     "family_optimality_residual",
-    "sampling_rate_profile",
     "save_family",
     "load_family",
 ]
@@ -95,7 +93,7 @@ GRID_BLOCK = 64
 MAX_GRID_POINTS = 60_001
 
 ODE_KINDS = ("ipd", "spd")
-GENERATOR_KINDS = ("myopic", "ipd0", "custom")
+GENERATOR_KINDS = ("myopic", "ipd0")
 
 
 @_record
@@ -135,15 +133,6 @@ class LoadStateSpace:
     @property
     def dim(self) -> int:
         return self.n_control * self.n_exo
-
-    def control_part(self, x: int) -> int:
-        return x // self.n_exo
-
-    def exo_part(self, x: int) -> int:
-        return x % self.n_exo
-
-    def flat_index(self, x_c: int, x_exo: int) -> int:
-        return x_c * self.n_exo + x_exo
 
     def to_json(self) -> dict:
         doc = dict(n_control=self.n_control, n_exo=self.n_exo, anchor=self.anchor,
@@ -392,16 +381,16 @@ class DesignFamily:
     grid values, joined by the cubic Hermite interpolant on ``h_slopes``.
     ``h_at`` reads it and ``h_rate_at`` its derivative, for every kind, so a
     linear model is the derivative of the plant it describes.  ``kind`` is a
-    label only: a fixed-direction family keeps its direction g as
-    ``h_grid = zeta_grid (x) g`` and nowhere else.  Values beyond the grid
-    ends raise :class:`OutOfGrid`.
+    label only (``"custom"``, which no builder makes, still loads): a
+    fixed-direction family keeps its direction g as ``h_grid = zeta_grid (x)
+    g`` and nowhere else.  Values beyond the grid ends raise :class:`OutOfGrid`.
     """
 
     def __init__(self, space: LoadStateSpace, base: StochasticMatrix, kind: str,
                  structure: FamilyStructure, zeta_grid, h_grid,
                  model_hash: str | None = None,
                  synthesis: dict | None = None):
-        if kind not in ODE_KINDS + GENERATOR_KINDS:
+        if kind not in ODE_KINDS + GENERATOR_KINDS + ("custom",):
             raise ValidationError(f"unknown design kind {kind!r}")
         if not base.is_square or base.dim != space.dim:
             raise ValidationError("base kernel does not match the state space")
@@ -753,53 +742,26 @@ def solve_design_ode(base: StochasticMatrix, space: LoadStateSpace, kind: str,
 
 def build_exponential_family(base: StochasticMatrix, space: LoadStateSpace,
                              kind: str, zeta_max: float, step: float = 0.01,
-                             generator=None,
                              structure: FamilyStructure | None = None,
                              model_hash: str | None = None) -> DesignFamily:
-    """Build a fixed-direction family h_zeta = zeta * generator.
+    """Build a fixed-direction family h_zeta = zeta * g.
 
-    ``kind`` selects the direction: "myopic" uses the output function
-    itself, "ipd0" uses the individual-perspective direction frozen at the
-    base kernel, and "custom" uses the supplied ``generator``.  These
-    families agree with the corresponding ODE families to first order in
-    the command but are much cheaper to synthesize.
+    ``kind`` selects the direction g: "myopic" uses the output function
+    itself, and "ipd0" uses the individual-perspective direction frozen at
+    the base kernel.  These families agree with the corresponding ODE
+    families to first order in the command but are much cheaper to
+    synthesize.
     """
     if kind not in GENERATOR_KINDS:
         raise ValidationError(f"exponential family kind must be one of {GENERATOR_KINDS}")
     zeta_grid = _command_grid(zeta_max, step)
     if structure is None:
         structure = FamilyStructure()
-    if kind == "custom":
-        if generator is None:
-            raise ValidationError("custom family needs an explicit generator")
-        gen = np.asarray(as_values(generator, space.dim), dtype=float).copy()
-    elif generator is not None:
-        raise ValidationError(f"kind {kind!r} computes its own generator")
-    else:
-        gen = _zero_direction(kind, base, space)
-    h_grid = zeta_grid[:, None] * gen[None, :]
+    h_grid = zeta_grid[:, None] * _zero_direction(kind, base, space)[None, :]
     return DesignFamily(
         space, base, kind, structure, zeta_grid, h_grid,
         model_hash=model_hash,
         synthesis={"method": "exponential", "step": step, "zeta_max": zeta_max},
-    )
-
-
-def geometric_compose(family: DesignFamily, gamma: float) -> DesignFamily:
-    """Reinterpret a direct family's kernels as jump kernels under lazy sampling.
-
-    The per-step kernel becomes (1 - gamma) I + gamma S_zeta.  The design
-    grid is reused as-is.  The lazy mix keeps each jump kernel's invariant
-    pmf, so ``pi_at`` agrees with that of ``family`` up to solve roundoff.
-    """
-    if family.structure.sampling != "direct":
-        raise ValidationError("family is already composed with a sampling rate")
-    structure = FamilyStructure(sampling="composed", gamma=gamma)
-    return DesignFamily(
-        family.space, family.base, family.kind, structure,
-        family.zeta_grid, family.h_grid,
-        model_hash=family.model_hash,
-        synthesis=dict(family.synthesis, composed_gamma=gamma),
     )
 
 
@@ -845,19 +807,3 @@ def family_optimality_residual(family: DesignFamily, zeta: float) -> float:
     eta = zeta * pi.mean(family.space.util) - relative_entropy_rate(
         jump, family.base, pi)
     return optimality_residual(h, eta, zeta, family.base, family.space)
-
-
-def sampling_rate_profile(family: DesignFamily, zeta: float) -> np.ndarray:
-    """Per-state ratio of leave probabilities at command zeta versus zero.
-
-    Diagnostic for how a tilt redistributes update activity across states:
-    values above one mean the tilted load leaves that state more often than
-    the nominal one.  For composed families the ratio is taken on the jump
-    kernel, so multiplying by the sampling rate gives an effective
-    per-state rate.
-    """
-    now = 1.0 - np.diag(family.jump_kernel_at(zeta).entries)
-    ref = 1.0 - np.diag(family.jump_kernel_at(0.0).entries)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(ref > 0.0, now / np.where(ref > 0.0, ref, 1.0), np.nan)
-    return out

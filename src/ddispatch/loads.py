@@ -83,24 +83,23 @@ class PoolModelSpec:
         if self.hazard_shape <= 0.0:
             raise ValidationError("hazard_shape must be positive")
 
-    @property
-    def dim(self) -> int:
-        return 2 * self.rungs
-
     to_json = asdict
     from_json = classmethod(spec_from_json)
 
 
 def _sojourn_cdf(distance: np.ndarray, sigma: float, shape: float) -> np.ndarray:
-    """CDF of the shape/scale sojourn law by distance to the forced switch."""
-    return np.exp(-(distance ** shape) / (2.0 * sigma ** shape))
+    """CDF of the shape/scale sojourn law by distance to the forced switch
+    (a lattice cell that rounds past its band edge is at distance 0)."""
+    return np.exp(-(np.maximum(distance, 0.0) ** shape) / (2.0 * sigma ** shape))
 
 
 def _hazard(cdf: np.ndarray) -> np.ndarray:
-    """Discrete hazards of a CDF over steps 1..n: P(switch now | not yet)."""
-    hazard = np.empty(len(cdf))
+    """Discrete hazards of a CDF over steps 1..n: P(switch now | not yet),
+    1 from the step after the CDF reaches 1, where nothing is left."""
+    survival = 1.0 - cdf[:-1]
+    hazard = np.ones(len(cdf))
     hazard[0] = cdf[0]
-    hazard[1:] = (cdf[1:] - cdf[:-1]) / (1.0 - cdf[:-1])
+    np.divide(cdf[1:] - cdf[:-1], survival, out=hazard[1:], where=survival > 0.0)
     return hazard
 
 
@@ -116,7 +115,8 @@ def fit_sojourn_hazard(rungs: int, target_steps: float,
     fixed and the scale found by bisection (the mean is strictly decreasing
     in the scale, from ``rungs`` down to 1).  Returns the fitted scale and
     the rung-indexed switch probabilities; the last entry is exactly 1
-    (forced switch at the top of the ladder).
+    (forced switch at the top of the ladder), and a fit that makes the
+    switch certain lower down is refused as :class:`InfeasibleDutyCycle`.
     """
     if not 1.0 < target_steps < float(rungs):
         raise InfeasibleDutyCycle(
@@ -136,7 +136,12 @@ def fit_sojourn_hazard(rungs: int, target_steps: float,
     cdf = _sojourn_cdf(distance, sigma, shape)
     if abs(_mean_sojourn(cdf) - target_steps) > 1e-6 * max(1.0, target_steps):
         raise InfeasibleDutyCycle("sojourn fit did not converge")
-    return sigma, _hazard(cdf)
+    hazard = _hazard(cdf)
+    rung = int(np.argmax(hazard == 1.0)) + 1    # the first certain switch
+    if rung < rungs:
+        raise InfeasibleDutyCycle(f"hazard_shape {shape:g} makes the switch certain at "
+                                  f"rung {rung} of {rungs}: the rungs above it are unreachable")
+    return sigma, hazard
 
 
 @_record
@@ -319,6 +324,11 @@ class TclModelSpec:
             raise ValidationError("switch-curve parameters must be positive")
         if self.sample_period_s <= 0.0 or self.broadcast_period_s <= 0.0:
             raise ValidationError("periods must be positive")
+        ratio = self.broadcast_period_s / self.sample_period_s
+        if not math.isfinite(ratio) or not math.isclose(ratio, self.broadcast_steps):
+            raise ValidationError(
+                f"broadcast_period_s {self.broadcast_period_s:g} is not a whole number "
+                f"of sample_period_s {self.sample_period_s:g}")
         if self.theta_a <= self.band_high:
             raise ValidationError("ambient must sit above the comfort band")
 
@@ -329,6 +339,11 @@ class TclModelSpec:
     @property
     def lattice(self) -> np.ndarray:
         return self.band_low + self.lattice_step * np.arange(self.cells)
+
+    @property
+    def broadcast_steps(self) -> int:
+        """Sample steps per broadcast period, a whole number."""
+        return round(self.broadcast_period_s / self.sample_period_s)
 
     to_json = asdict
     from_json = classmethod(spec_from_json)
@@ -407,7 +422,6 @@ def estimate_q0(spec: TclModelSpec, samples_per_state: int = 20000,
         raise ValidationError(f"need {MIN_SAMPLES_PER_STATE} to {MAX_SAMPLES_PER_STATE} "
                               "samples per state")
     fall_on, rise_off = drift_per_step(spec, spec.broadcast_period_s)
-    steps_per_period = spec.broadcast_period_s / spec.sample_period_s
     grid = spec.lattice
     n = spec.cells
     children = np.random.SeedSequence(seed).spawn(2 * n)
@@ -422,7 +436,7 @@ def estimate_q0(spec: TclModelSpec, samples_per_state: int = 20000,
         if spec.noise_var > 0.0:
             landing = landing + rng.normal(
                 0.0, 1.0, size=samples_per_state) * np.sqrt(
-                    length * steps_per_period * spec.noise_var)
+                    length * spec.broadcast_steps * spec.noise_var)
         cells = np.clip(np.rint((landing - spec.band_low) / spec.lattice_step),
                         0, n - 1).astype(int)
         rows[x] = np.bincount(cells, minlength=n) / samples_per_state
@@ -554,8 +568,7 @@ def tcl_trajectory(spec: TclModelSpec, steps: int, seed: int = 0,
     zeta_arr = np.broadcast_to(np.asarray(zeta, dtype=float), (steps,))
     rng = np.random.default_rng(seed)
     n = spec.cells
-    steps_per_period = max(int(round(spec.broadcast_period_s
-                                     / spec.sample_period_s)), 1)
+    period_steps = spec.broadcast_steps
 
     policy_cache: dict[float, np.ndarray] = {}
 
@@ -577,7 +590,7 @@ def tcl_trajectory(spec: TclModelSpec, steps: int, seed: int = 0,
         cur_theta = cur_theta + drift
         if noise_std > 0.0:
             cur_theta += rng.normal(0.0, noise_std)
-        on_boundary = (t + 1) % steps_per_period == 0
+        on_boundary = (t + 1) % period_steps == 0
         if family is not None and on_boundary and rng.random() < spec.gamma:
             opportunity[t] = True
             cell = min(max(int(round((cur_theta - spec.band_low)

@@ -281,10 +281,6 @@ class StateFunction:
             raise ValidationError("state function values must be finite")
         object.__setattr__(self, "values", _frozen(v))
 
-    @property
-    def dim(self) -> int:
-        return self.values.size
-
 
 def as_values(f, dim: int | None = None) -> np.ndarray:
     """Accept a StateFunction, Pmf, or array-like and return a float vector."""

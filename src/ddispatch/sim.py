@@ -194,11 +194,6 @@ class FleetState:
     def n(self) -> int:
         return int(self.counts.sum())
 
-    def empirical_pmf(self, dim: int) -> Pmf:
-        if dim != self.counts.size:
-            raise ValidationError(f"fleet has {self.counts.size} states, not {dim}")
-        return Pmf(self.counts / self.n)
-
 
 def fleet_init(family, n: int, seed: int, mu0: Pmf | None = None):
     """Draw n agents i.i.d. from mu0 (default: the nominal invariant pmf) as

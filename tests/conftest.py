@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddispatch.design import DesignFamily, FamilyStructure
 from ddispatch.markov import StochasticMatrix
 
 # child interpreters (``python -m ddispatch``) import the same source tree
@@ -47,6 +48,14 @@ def cycle_chain(d):
     m[d - 1, d - 1] = 0.5
     m[d - 1, 0] = 0.5
     return StochasticMatrix(m)
+
+
+def composed(family, gamma):
+    """``family``'s grid as jump kernels that a load applies at rate gamma,
+    the family ``design --route compose`` writes for the same grid."""
+    return DesignFamily(family.space, family.base, family.kind,
+                        FamilyStructure("composed", gamma=gamma),
+                        family.zeta_grid, family.h_grid)
 
 
 def two_state(a, b):

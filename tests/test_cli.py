@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -123,9 +124,11 @@ class TestModel:
         ("tcl", {"gamma": 0.0}),
         ("tcl", {"rho": 0.0}),
         ("tcl", {"power_kw": 6.125}),
+        ("tcl", {"broadcast_period_s": 25.0}),
     ], ids=["tcl_cannot_cool", "tcl_band_empty", "tcl_sample_period_zero",
             "pool_slot_minutes_zero", "pool_hazard_shape_zero", "tcl_noise_var_negative",
-            "tcl_gamma_zero", "tcl_rho_zero", "tcl_band_uncrossable"])
+            "tcl_gamma_zero", "tcl_rho_zero", "tcl_band_uncrossable",
+            "tcl_broadcast_period_not_whole"])
     def test_spec_field_out_of_range(self, tmp_path, capsys, kind, doc):
         spec = tmp_path / "spec.json"
         write_json(spec, doc)
@@ -995,6 +998,36 @@ class TestEntryPoint:
                       and value.__name__ == f"ddispatch.{name}")}
         assert others == {"os"}
         assert {name for name in exported if public.get(name) is not exported[name]} == set()
+
+    def test_every_public_name_has_a_reader(self):
+        # a layer's public function, class, method or property is read by
+        # package code (its own definition and __all__ entry do not count),
+        # or named by the README, the benchmark or an acceptance criterion
+        package = pathlib.Path(importlib.import_module("ddispatch").__file__).parent
+        root = package.parent.parent
+        read = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+        named = "\n".join(path.read_text() for path in [
+            root / "README.md", root / "tests" / "test_acceptance.py",
+            *sorted((root / "bench").glob("*.py"))])
+        unread = []
+        for module in ("markov", "design", "linearize", "loads", "sim"):
+            layer = importlib.import_module(f"ddispatch.{module}")
+            names = list(layer.__all__)
+            for value in map(vars(layer).get, layer.__all__):
+                if isinstance(value, type):
+                    names += [name for name, member in vars(value).items()
+                              if not name.startswith("_") and isinstance(
+                                  member, (property, classmethod, staticmethod,
+                                           type(run)))]
+            unread += [f"{module}.{name}" for name in dict.fromkeys(names)
+                       if name not in read and not re.search(rf"\b{name}\b", named)]
+        assert unread == []
 
     def test_no_hidden_module_state(self):
         # no module rebinds its globals at run time, and only the package

@@ -13,13 +13,11 @@ from ddispatch.design import (
     _design_rate,
     build_exponential_family,
     family_optimality_residual,
-    geometric_compose,
     ipd_map,
     lift_control,
     load_family,
     optimality_residual,
     reward_value,
-    sampling_rate_profile,
     save_family,
     solve_design_ode,
     spd_map,
@@ -48,7 +46,7 @@ from ddispatch.markov import (
 )
 from ddispatch.sim import FleetState, fleet_step
 
-from conftest import cycle_chain, random_chain, sparse_random_chain, two_state
+from conftest import composed, cycle_chain, random_chain, sparse_random_chain, two_state
 
 
 def simple_space(util, anchor=0):
@@ -75,16 +73,9 @@ def product_space(rng, n_control=2, n_exo=2, seed_util=None):
 
 
 class TestLoadStateSpace:
-    def test_flat_index_round_trip(self):
-        space = LoadStateSpace(3, 1, StateFunction(np.arange(3.0)))
-        for x in range(space.dim):
-            assert space.flat_index(space.control_part(x), space.exo_part(x)) == x
-
     def test_product_indexing(self, rng):
         space, _, _, _ = product_space(rng, n_control=3, n_exo=4)
         assert space.dim == 12
-        assert space.control_part(7) == 1
-        assert space.exo_part(7) == 3
 
     def test_rejects_bad_anchor(self):
         with pytest.raises(ValidationError):
@@ -115,7 +106,7 @@ class TestLift:
         hmat = h.reshape(space.n_control, space.n_exo)
         for x in range(space.dim):
             for xp in range(space.dim):
-                want = sum(q0[x, e] * hmat[space.control_part(xp), e]
+                want = sum(q0[x, e] * hmat[xp // space.n_exo, e]
                            for e in range(space.n_exo))
                 assert pair[x, xp] == pytest.approx(want, abs=1e-14)
 
@@ -251,8 +242,9 @@ class TestSupportTilt:
         space, base = sparse_product_space(rng)
         assert not base.support.all()
         gen = rng.normal(size=space.dim)
-        fam = build_exponential_family(base, space, "custom", 1.0, step=0.25,
-                                       generator=gen)
+        grid = np.linspace(-1.0, 1.0, 9)
+        fam = DesignFamily(space, base, "custom", FamilyStructure(), grid,
+                           grid[:, None] * gen)
         for zeta in (-1.0, -0.3, 0.0, 0.6, 1.0):
             want, _ = dense_tilt(base.entries, lift_control(space, zeta * gen))
             got = fam.jump_kernel_at(zeta).entries
@@ -294,9 +286,8 @@ class TestSupportTilt:
         base = StochasticMatrix(np.full((2, 2), 0.5))
         with pytest.raises(NonFinite, match="support of the tilted kernel shrank"):
             tilt(base, np.array([[0.0, 800.0], [0.0, 0.0]]))
-        space = simple_space([0.0, 1.0])
-        fam = build_exponential_family(base, space, "custom", 1.0, step=1.0,
-                                       generator=[0.0, 800.0])
+        fam = build_exponential_family(base, simple_space([0.0, 800.0]), "myopic",
+                                       1.0, step=1.0)
         fleet = FleetState.from_states([0, 1], 2)
         for use in (fam.jump_values_at, fam.jump_kernel_at, fam.step_values_at,
                     fam.kernel_at, fam.pi_at,
@@ -508,13 +499,13 @@ class TestDesignOde:
 
 
 class TestExponentialFamilies:
-    @pytest.mark.parametrize("kind,step,generator", [
-        ("myopic", 0.5, None), ("ipd", 0.01, None), ("myopic", 0.01, [1.0, 0.0]),
-    ], ids=["step_above_zeta_max", "ode_kind", "myopic_with_generator"])
-    def test_refusals(self, kind, step, generator):
+    @pytest.mark.parametrize("kind,step", [
+        ("myopic", 0.5), ("ipd", 0.01), ("custom", 0.01),
+    ], ids=["step_above_zeta_max", "ode_kind", "custom_kind"])
+    def test_refusals(self, kind, step):
         with pytest.raises(ValidationError):
             build_exponential_family(two_state(0.3, 0.2), simple_space([1.0, 0.0]),
-                                     kind, 0.1, step=step, generator=generator)
+                                     kind, 0.1, step=step)
 
     def test_myopic_generator_is_output(self, rng):
         base = random_chain(rng, 4)
@@ -530,16 +521,6 @@ class TestExponentialFamilies:
         np.testing.assert_allclose(
             fam.h_grid, np.multiply.outer(fam.zeta_grid, ipd_map(base, util).values),
             atol=1e-14)
-
-    def test_custom_needs_generator(self, rng):
-        base = random_chain(rng, 3)
-        space = simple_space([0.0, 1.0, 2.0])
-        with pytest.raises(ValidationError):
-            build_exponential_family(base, space, "custom", 1.0)
-        fam = build_exponential_family(base, space, "custom", 1.0,
-                                       generator=[0.0, 2.0, 1.0])
-        np.testing.assert_array_equal(fam.h_grid,
-                                      np.multiply.outer(fam.zeta_grid, [0.0, 2.0, 1.0]))
 
     def test_frozen_family_tracks_adapted_family(self):
         # same direction at zero, so kernels drift apart quadratically and
@@ -650,11 +631,6 @@ class TestFamilyContainer:
         fam = build_exponential_family(base, simple_space([2.0, 2.0]),
                                        "myopic", 1.0)
         assert np.abs(fam.kernel_at(1.0).entries - base.entries).max() <= 1e-12
-
-    def test_sampling_rate_profile_at_zero(self):
-        fam = ode_family()
-        prof = sampling_rate_profile(fam, 0.0)
-        np.testing.assert_allclose(prof, 1.0, atol=1e-12)
 
 
 def polynomial_family(coefs, n, step=0.1):
@@ -926,7 +902,7 @@ class TestGthPmfs:
 class TestComposedFamilies:
     def test_compose_mixes_identity(self):
         fam = ode_family(zeta_max=0.5)
-        lazy = geometric_compose(fam, 1.0 / 6.0)
+        lazy = composed(fam, 1.0 / 6.0)
         for z in (0.0, 0.3, -0.5):
             jump = lazy.jump_kernel_at(z).entries
             want = (5.0 / 6.0) * np.eye(fam.space.dim) + (1.0 / 6.0) * jump
@@ -934,16 +910,11 @@ class TestComposedFamilies:
 
     def test_compose_preserves_invariant_and_output(self):
         fam = ode_family(zeta_max=0.5)
-        lazy = geometric_compose(fam, 0.25)
+        lazy = composed(fam, 0.25)
         for z in (-0.5, 0.1, 0.5):
             np.testing.assert_allclose(lazy.pi_at(z).weights,
                                        fam.pi_at(z).weights, atol=1e-10)
             assert lazy.ubar_at(z) == pytest.approx(fam.ubar_at(z), abs=1e-10)
-
-    def test_compose_twice_rejected(self):
-        lazy = geometric_compose(ode_family(zeta_max=0.5), 0.5)
-        with pytest.raises(ValidationError):
-            geometric_compose(lazy, 0.5)
 
     def test_factorized_tilt_keeps_exo_conditional(self, rng):
         # tilting a factorized jump kernel by a lifted pair must not change
@@ -1014,9 +985,9 @@ class TestSerialization:
 
     def test_round_trip_on_disk(self, tmp_path, rng):
         space, base, _, _ = product_space(rng)
-        fam = build_exponential_family(base, space, "myopic", 0.5,
-                                       model_hash="abc123")
-        lazy = geometric_compose(fam, 0.5)
+        lazy = build_exponential_family(base, space, "myopic", 0.5,
+                                        structure=FamilyStructure("composed", gamma=0.5),
+                                        model_hash="abc123")
         path = tmp_path / "family.json"
         save_family(lazy, path)
         back = load_family(path)

@@ -10,7 +10,6 @@ from ddispatch.design import (
     DesignFamily,
     LoadStateSpace,
     build_exponential_family,
-    geometric_compose,
     solve_design_ode,
     spd_map,
 )
@@ -35,7 +34,7 @@ from ddispatch import markov
 from ddispatch.markov import Pmf, StateFunction, StochasticMatrix, invariant_pmf
 from ddispatch.sim import meanfield_step
 
-from conftest import random_chain, two_state
+from conftest import composed, random_chain, two_state
 
 # the package re-exports the function ``linearize`` under the module's name
 linearize_module = importlib.import_module("ddispatch.linearize")
@@ -102,7 +101,7 @@ class TestKernelDerivative:
         chain = random_chain(np.random.default_rng(9), 4)
         fam = solve_design_ode(chain, simple_space([1.0, 0.5, -0.5, -1.0]),
                                "ipd", 0.5, step=0.01)
-        lazy = geometric_compose(fam, 0.25)
+        lazy = composed(fam, 0.25)
         np.testing.assert_allclose(family_kernel_derivative(lazy, 0.3),
                                    0.25 * family_kernel_derivative(fam, 0.3),
                                    atol=1e-15)
@@ -177,7 +176,7 @@ class TestAdjointForm:
         chain = random_chain(np.random.default_rng(29), 4)
         fam = solve_design_ode(chain, simple_space([1.0, 0.0, -0.3, -0.7]),
                                "ipd", 0.5, step=0.01)
-        lazy = geometric_compose(fam, 1.0 / 3.0)
+        lazy = composed(fam, 1.0 / 3.0)
         model = linearize(lazy, 0.25)
         np.testing.assert_allclose(b_adjoint_form(lazy, 0.25), model.b,
                                    atol=1e-13)

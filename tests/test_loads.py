@@ -105,6 +105,11 @@ class TestSojournFit:
         means = [_mean_sojourn(_sojourn_cdf(distance, s, 2.0)) for s in (0.1, 0.3, 0.6, 1.5)]
         assert all(a > b for a, b in zip(means, means[1:]))
 
+    def test_hazard_is_one_once_nothing_survives(self):
+        # past the step where the CDF reaches 1 there is no mass to divide by
+        np.testing.assert_array_equal(_hazard(np.array([0.5, 1.0, 1.0, 1.0])),
+                                      [0.5, 1.0, 1.0, 1.0])
+
     def test_infeasible_targets(self):
         with pytest.raises(InfeasibleDutyCycle):
             fit_sojourn_hazard(48, 48.0)
@@ -117,7 +122,7 @@ class TestSojournFit:
 class TestPoolSpec:
     def test_defaults(self):
         spec = PoolModelSpec()
-        assert spec.dim == 96
+        assert spec.rungs == 48
         assert spec.slot_minutes / spec.gamma == 30.0
 
     def test_validation(self):
@@ -139,6 +144,18 @@ def pool():
 
 
 class TestPoolModel:
+    @pytest.mark.parametrize("shape", [12.0, 20.0])
+    def test_switch_certain_below_the_top_refused(self, shape):
+        # the fitted CDF reaches 1 below the top rung, so the rungs above it
+        # are unreachable; the spec is refused by the field that did it
+        with pytest.raises(InfeasibleDutyCycle, match="hazard_shape"):
+            build_pool_model(PoolModelSpec(hazard_shape=shape))
+
+    @pytest.mark.parametrize("shape", [0.2, 10.0])
+    def test_hazard_shapes_that_build(self, shape):
+        pool = build_pool_model(PoolModelSpec(hazard_shape=shape))
+        assert check_irreducible_aperiodic(pool.p0).irreducible
+
     def test_shapes_and_power(self, pool):
         assert pool.dim == 96
         assert pool.space.n_exo == 1
@@ -258,6 +275,13 @@ class TestTclSpec:
         with pytest.raises(ValidationError):
             TclModelSpec(resistance=0.0)
 
+    def test_broadcast_period_is_whole_samples(self):
+        # the nature kernel and the trajectory read one epoch length
+        assert TclModelSpec().broadcast_steps == 10
+        with pytest.raises(ValidationError,
+                           match="broadcast_period_s 25 .* sample_period_s 2$"):
+            TclModelSpec(broadcast_period_s=25.0)
+
     def test_json_round_trip(self):
         spec = TclModelSpec(noise_var=0.0)
         assert TclModelSpec.from_json(spec.to_json()) == spec
@@ -294,6 +318,24 @@ class TestSwitchCurves:
         denom = 2.0 * spec.sigma ** spec.rho
         cdf = np.exp(-((spec.band_high - grid) ** spec.rho) / denom)
         assert np.allclose(np.cumprod(1.0 - start), 1.0 - cdf, atol=1e-12)
+
+    def test_cell_past_the_band_edge(self):
+        # a lattice step within the 1e-9 tolerance puts the top cell past
+        # band_high; its distance to the edge counts as 0, not NaN
+        spec = TclModelSpec(lattice_step=0.05 + 9e-10)
+        assert spec.lattice[-1] > spec.band_high
+        start, stop = tcl_switch_curves(spec)
+        assert start[-1] == 1.0
+        assert np.all(np.isfinite(stop))
+
+    def test_switch_certain_inside_the_band(self):
+        # a steep law is certain before the band edge: the hazards from there
+        # on are 1, not 0/0, and the model still builds
+        spec = TclModelSpec(rho=30.0, sigma=0.2)
+        start, stop = tcl_switch_curves(spec)
+        assert (start[:-1] == 1.0).any()
+        assert np.all(np.isfinite(stop))
+        build_tcl_model(spec, samples_per_state=1000)
 
     def test_mirror_symmetry(self):
         start, stop = tcl_switch_curves(TclModelSpec())
@@ -519,7 +561,8 @@ def random_tcl_specs(count, seed):
             resistance=resistance,
             capacitance=samples_per_tau * period / (resistance * 3600.0),
             power_kw=(theta_a - floor) / resistance, sample_period_s=period,
-            state_count=2 * cells, lattice_step=width / (cells - 1)))
+            broadcast_period_s=period, state_count=2 * cells,
+            lattice_step=width / (cells - 1)))
     return specs
 
 

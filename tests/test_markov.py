@@ -83,7 +83,7 @@ class TestTypes:
     def test_state_function_units(self):
         f = StateFunction(np.array([0.0, 1.0]), units="kW")
         assert f.units == "kW"
-        assert f.dim == 2
+        assert f.values.shape == (2,)
 
     @pytest.mark.parametrize("build,arg", [
         (StochasticMatrix, [0.5, 0.5]),

@@ -9,7 +9,7 @@ import pytest
 from ddispatch import BadCutoffs, NonFinite, OutOfGrid, ValidationError
 from ddispatch import design, markov, sim
 from ddispatch.design import (DesignFamily, LoadStateSpace, build_exponential_family,
-                              geometric_compose, solve_design_ode)
+                              solve_design_ode)
 from ddispatch.linearize import dc_gain, linearize, transfer_eval
 from ddispatch.markov import (Nonzeros, Pmf, StateFunction, StochasticMatrix, geometric_mix,
                               invariant_pmf)
@@ -27,6 +27,8 @@ from ddispatch.sim import (
     track,
     tracking_metrics,
 )
+
+from conftest import composed
 
 
 def random_family(d=4, seed=7, zeta_max=1.0, step=0.02):
@@ -95,7 +97,7 @@ class TestMeanfieldStep:
                                exo_kernel=StochasticMatrix(q0))
         exo = build_exponential_family(StochasticMatrix(base), space, "myopic", 1.0,
                                        step=0.1)
-        return [fam, geometric_compose(fam, 0.3), exo, geometric_compose(exo, 0.6)]
+        return [fam, composed(fam, 0.3), exo, composed(exo, 0.6)]
 
     def test_matches_dense_kernel_product(self, fam):
         rng = np.random.default_rng(8)
@@ -188,16 +190,10 @@ class TestMeanfieldStep:
 class TestFleet:
     @pytest.mark.parametrize("call", [
         lambda: FleetState.from_states([[0, 1], [1, 0]], 2),
-        lambda: FleetState.from_states([0, 1], 2).empirical_pmf(3),
-    ], ids=["states_2d", "pmf_wrong_dimension"])
+    ], ids=["states_2d"])
     def test_refusals(self, call):
         with pytest.raises(ValidationError):
             call()
-
-    def test_empirical_pmf_sums_to_one(self, fam):
-        state, _ = fleet_init(fam, 100, seed=1)
-        pmf = state.empirical_pmf(fam.space.dim)
-        assert pmf.weights.sum() == 1.0
 
     def test_bitwise_deterministic(self, fam):
         zetas = 0.5 * np.sin(0.1 * np.arange(50))
