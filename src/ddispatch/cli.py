@@ -180,7 +180,7 @@ def _custom_model(doc: dict) -> LoadModel:
         space = LoadStateSpace(n_control=s0.dim, n_exo=1, util=util,
                                anchor=integer(doc.get("anchor", 0)))
         return LoadModel(kind="custom", spec_doc=doc, space=space, s0=s0,
-                         gamma=field(doc, "gamma", finite, 1.0))
+                         gamma=field(doc, "gamma", finite, 1.0), diagnostics={})
 
 
 def _scaled_space(ns, base, space):

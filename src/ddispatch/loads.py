@@ -11,7 +11,7 @@ temperature kernel is estimated by Monte Carlo from the thermal recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .markov import (StateFunction, StochasticMatrix, _record, geometric_mix,
 __all__ = [
     "PoolModelSpec",
     "TclModelSpec",
-    "NatureKernel",
     "LoadModel",
     "TclTrajectory",
     "fit_sojourn_hazard",
@@ -125,8 +124,11 @@ def fit_sojourn_hazard(rungs: int, target_steps: float,
         )
     distance = (rungs - np.arange(1, rungs + 1, dtype=float)) / rungs
     # bisect log10 of the scale until the bracket stops changing: it only
-    # shrinks and floats are finite, and every later step would repeat it
-    bracket, last = (-8.0, 8.0), None
+    # shrinks and floats are finite, and every later step would repeat it.
+    # Below shape 1 the bracket keeps sigma**shape within 10**(+-8), up to
+    # where 10.0**edge would overflow
+    edge = min(300.0, 8.0 * max(1.0, 1.0 / shape))
+    bracket, last = (-edge, edge), None
     while bracket != last:
         (lo, hi), last = bracket, bracket
         mid = 0.5 * (lo + hi)
@@ -135,21 +137,14 @@ def fit_sojourn_hazard(rungs: int, target_steps: float,
     sigma = 10.0 ** (0.5 * (lo + hi))
     cdf = _sojourn_cdf(distance, sigma, shape)
     if abs(_mean_sojourn(cdf) - target_steps) > 1e-6 * max(1.0, target_steps):
-        raise InfeasibleDutyCycle("sojourn fit did not converge")
+        raise InfeasibleDutyCycle(f"sojourn fit did not converge: hazard_shape {shape:g} cannot "
+                                  f"reach a mean sojourn of {target_steps:g} on {rungs} rungs")
     hazard = _hazard(cdf)
     rung = int(np.argmax(hazard == 1.0)) + 1    # the first certain switch
     if rung < rungs:
         raise InfeasibleDutyCycle(f"hazard_shape {shape:g} makes the switch certain at "
                                   f"rung {rung} of {rungs}: the rungs above it are unreachable")
     return sigma, hazard
-
-
-@_record
-class NatureKernel:
-    """Exogenous-coordinate kernel with its estimation provenance."""
-
-    kernel: StochasticMatrix
-    provenance: dict = field(default_factory=lambda: {"method": "analytic"})
 
 
 @_record
@@ -166,7 +161,7 @@ class LoadModel:
     space: LoadStateSpace
     s0: StochasticMatrix
     gamma: float
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
@@ -405,7 +400,7 @@ def _mode_policy(spec: TclModelSpec) -> np.ndarray:
 
 
 def estimate_q0(spec: TclModelSpec, samples_per_state: int = 20000,
-                seed: int = 0) -> NatureKernel:
+                seed: int = 0) -> StochasticMatrix:
     """Monte-Carlo estimate of the temperature-cell kernel over one epoch.
 
     For each (mode, cell) origin the mode is held fixed for one whole
@@ -416,7 +411,8 @@ def estimate_q0(spec: TclModelSpec, samples_per_state: int = 20000,
     times length times noise_var).  Landings are clamped to the band and
     binned to the nearest cell.  Each origin state gets an independent
     child stream of the master seed, so results are deterministic and
-    independent of evaluation order.
+    independent of evaluation order.  Returns the (states x cells) kernel;
+    :func:`build_tcl_model` records the samples and seed it was drawn with.
     """
     if not MIN_SAMPLES_PER_STATE <= samples_per_state <= MAX_SAMPLES_PER_STATE:
         raise ValidationError(f"need {MIN_SAMPLES_PER_STATE} to {MAX_SAMPLES_PER_STATE} "
@@ -440,11 +436,7 @@ def estimate_q0(spec: TclModelSpec, samples_per_state: int = 20000,
         cells = np.clip(np.rint((landing - spec.band_low) / spec.lattice_step),
                         0, n - 1).astype(int)
         rows[x] = np.bincount(cells, minlength=n) / samples_per_state
-    return NatureKernel(
-        kernel=StochasticMatrix(rows),
-        provenance={"method": "monte_carlo", "samples": samples_per_state,
-                    "seed": seed},
-    )
+    return StochasticMatrix(rows)
 
 
 def build_tcl_model(spec: TclModelSpec, samples_per_state: int = 20000,
@@ -453,7 +445,10 @@ def build_tcl_model(spec: TclModelSpec, samples_per_state: int = 20000,
 
     Flat states are mode-major: x = mode * cells + cell, mode 0 idle,
     mode 1 running.  The jump kernel factors exactly as policy times
-    temperature kernel: S0(x, (m', c')) = R0(x, m') Q0(x, c').
+    temperature kernel: S0(x, (m', c')) = R0(x, m') Q0(x, c'), with Q0 from
+    :func:`estimate_q0`.  The model's ``diagnostics`` record the thermal
+    constants, both cycle-step counts and, as ``q0_provenance``, the
+    samples per state and the seed Q0 was estimated with.
     """
     exact_on, exact_off = deterministic_cycle_steps(spec, "exact")
     drift_on, drift_off = deterministic_cycle_steps(spec, "drift")
@@ -463,12 +458,12 @@ def build_tcl_model(spec: TclModelSpec, samples_per_state: int = 20000,
     d = 2 * n
     s0 = np.empty((d, d))
     for m in range(2):
-        s0[:, m * n:(m + 1) * n] = r0[:, [m]] * q0.kernel.entries
+        s0[:, m * n:(m + 1) * n] = r0[:, [m]] * q0.entries
     util = np.zeros(d)
     util[n:] = spec.power_kw
     space = LoadStateSpace(n_control=2, n_exo=n,
                            util=StateFunction(util, units="kW"),
-                           anchor=0, exo_kernel=q0.kernel)
+                           anchor=0, exo_kernel=q0)
     fall_on, rise_off = drift_per_step(spec)
     diagnostics = {
         "retain_sample": thermal_decay(spec, spec.sample_period_s),
@@ -476,7 +471,8 @@ def build_tcl_model(spec: TclModelSpec, samples_per_state: int = 20000,
         "fall_on": fall_on, "rise_off": rise_off,
         "cycle_steps_exact": [exact_on, exact_off],
         "cycle_steps_drift": [drift_on, drift_off],
-        "q0_provenance": q0.provenance,
+        "q0_provenance": {"method": "monte_carlo", "samples": samples_per_state,
+                          "seed": seed},
     }
     return LoadModel(kind="tcl", spec_doc=spec.to_json(), space=space,
                      s0=StochasticMatrix(s0), gamma=spec.gamma,

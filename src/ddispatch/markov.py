@@ -71,13 +71,6 @@ def _check_row_sums(sums: np.ndarray):
         raise ValidationError(f"row sums deviate from 1 by {row_err:.3e}")
 
 
-class _FactoryDefault:
-    """Stands in a record's signature for a field's ``default_factory``."""
-
-    def __repr__(self):
-        return "<factory>"
-
-
 def _record(cls=None, /, *, eq=False):
     """Frozen dataclass with methods written here rather than generated.
 
@@ -87,48 +80,33 @@ def _record(cls=None, /, *, eq=False):
     (most of the package's import time).  ``dataclass`` is asked to generate
     nothing, so it only records the fields, and ``fields``, ``replace`` and
     ``asdict`` work as usual.  The methods below then go into the class's own
-    dict: ``__init__`` (by position or keyword, with defaults, a fresh
-    ``default_factory`` value per instance, then ``__post_init__``),
-    ``__repr__``, ``__setattr__`` and ``__delattr__`` raising
-    ``FrozenInstanceError``, and with ``eq`` the value ``__eq__`` and
-    ``__hash__``; ``__signature__`` lists the fields.  A field may set a
-    ``default`` or ``default_factory`` and nothing else.
+    dict: ``__init__``, ``__repr__``, ``__setattr__`` and ``__delattr__``
+    raising ``FrozenInstanceError``, and with ``eq`` the value ``__eq__`` and
+    ``__hash__``.  ``__init__`` takes one value per field in order as it is,
+    binds any other call through ``__signature__`` (the fields, with their
+    defaults), then runs ``__post_init__``.  A field may set a ``default``
+    and nothing else; a ``default_factory`` is refused.
     """
     if cls is None:
         return functools.partial(_record, eq=eq)
     fields = dataclasses.fields(dataclasses.dataclass(cls, init=False, repr=False, eq=False))
     if any(not (f.init and f.repr and f.compare) or f.hash is not None or f.kw_only
-           for f in fields):
-        raise TypeError(f"{cls.__qualname__}: record fields take only a default or factory")
+           or f.default_factory is not dataclasses.MISSING for f in fields):
+        raise TypeError(f"{cls.__qualname__}: record fields take only a default")
     names = tuple(f.name for f in fields)
-    defaults = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
-    factories = {f.name: f.default_factory for f in fields
-                 if f.default_factory is not dataclasses.MISSING}
+    signature = inspect.Signature(
+        [inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                           default=f.default if f.default is not dataclasses.MISSING
+                           else inspect.Parameter.empty,
+                           annotation=f.type) for f in fields],
+        return_annotation=None)
     post_init = hasattr(cls, "__post_init__")
-
-    def bind(args, kwargs):
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__qualname__}() takes {len(names)} positional "
-                            f"arguments but {len(args)} were given")
-        values = list(args)
-        for name in names[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in factories:
-                values.append(factories[name]())
-            elif name in defaults:
-                values.append(defaults[name])
-            else:
-                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
-        if kwargs:
-            name = next(iter(kwargs))
-            why = "multiple values for" if name in names else "an unexpected keyword"
-            raise TypeError(f"{cls.__qualname__}() got {why} argument {name!r}")
-        return values
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(names):
-            args = bind(args, kwargs)
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
         self.__dict__.update(zip(names, args))
         if post_init:
             self.__post_init__()
@@ -158,13 +136,7 @@ def _record(cls=None, /, *, eq=False):
             return hash(values(self))
 
         cls.__eq__, cls.__hash__ = __eq__, __hash__
-    factory = _FactoryDefault()
-    cls.__signature__ = inspect.Signature(
-        [inspect.Parameter(f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                           default=factory if f.name in factories
-                           else defaults.get(f.name, inspect.Parameter.empty),
-                           annotation=f.type) for f in fields],
-        return_annotation=None)
+    cls.__signature__ = signature
     return cls
 
 

@@ -110,6 +110,13 @@ class TestSojournFit:
         np.testing.assert_array_equal(_hazard(np.array([0.5, 1.0, 1.0, 1.0])),
                                       [0.5, 1.0, 1.0, 1.0])
 
+    def test_small_shape_reaches_its_target(self):
+        # sigma**shape spans 10**(+-8 shape) over a log10 bracket of +-8, so
+        # the bracket widens as 1/shape for shapes below 1
+        sigma, hazard = fit_sojourn_hazard(48, 2.0, 0.05)
+        assert hazard[-1] == 1.0
+        assert sojourn_mean_from_hazard(hazard) == pytest.approx(2.0, abs=1e-5)
+
     def test_infeasible_targets(self):
         with pytest.raises(InfeasibleDutyCycle):
             fit_sojourn_hazard(48, 48.0)
@@ -155,6 +162,33 @@ class TestPoolModel:
     def test_hazard_shapes_that_build(self, shape):
         pool = build_pool_model(PoolModelSpec(hazard_shape=shape))
         assert check_irreducible_aperiodic(pool.p0).irreducible
+
+    @pytest.mark.parametrize("shape, hours", [(0.05, 20.0), (0.1, 1.0)])
+    def test_small_shapes_build(self, shape, hours):
+        pool = build_pool_model(PoolModelSpec(hazard_shape=shape, cycle_hours=hours))
+        assert check_irreducible_aperiodic(pool.p0).irreducible
+
+    def test_one_epoch_cycle_refused_by_its_target(self):
+        # half an hour is one 30-minute epoch, the least mean sojourn there is
+        with pytest.raises(InfeasibleDutyCycle, match="mean sojourn of 1 epochs"):
+            build_pool_model(PoolModelSpec(hazard_shape=0.1, cycle_hours=0.5))
+
+    def test_unreachable_tiny_shape_refused_by_name(self):
+        # 8 / shape decades would overflow 10.0 ** mid; the bracket stops at
+        # 300, where the off target of 8 epochs is out of reach
+        with pytest.raises(InfeasibleDutyCycle, match="hazard_shape 0.001"):
+            build_pool_model(PoolModelSpec(hazard_shape=1e-3, cycle_hours=20.0))
+
+    def test_digests_by_hazard_shape(self):
+        # the bracket widens only below shape 1, and the fits on both sides
+        # of that keep their bytes
+        digests = {
+            0.2: "b994558b79237c24c5eaf9ef2da60aea898a1be64b487f49eb812e664fe97bff",
+            2.0: "643b0478ba733883b1a2d7dcf97daba661c0d170a80f4580f6a90c29baf8bf4d",
+            10.0: "f195c50bf347d45f956ba7645384fa18db1a79fcea781a9a8a8712cea2149173",
+        }
+        for shape, digest in digests.items():
+            assert build_pool_model(PoolModelSpec(hazard_shape=shape)).digest == digest
 
     def test_shapes_and_power(self, pool):
         assert pool.dim == 96
@@ -344,23 +378,25 @@ class TestSwitchCurves:
 
 class TestEstimateQ0:
     def test_rows_normalized(self):
-        nk = estimate_q0(TclModelSpec(), samples_per_state=2000, seed=3)
-        q = nk.kernel.entries
+        q = estimate_q0(TclModelSpec(), samples_per_state=2000, seed=3).entries
         assert q.shape == (42, 21)
         assert np.allclose(q.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
         assert q.min() >= 0.0
-        assert nk.provenance == {"method": "monte_carlo", "samples": 2000, "seed": 3}
+        model = build_tcl_model(TclModelSpec(), samples_per_state=2000, seed=3)
+        assert np.array_equal(model.space.exo_kernel.entries, q)
+        assert model.diagnostics["q0_provenance"] == {"method": "monte_carlo",
+                                                      "samples": 2000, "seed": 3}
 
     def test_deterministic_given_seed(self):
         a = estimate_q0(TclModelSpec(), samples_per_state=1500, seed=9)
         b = estimate_q0(TclModelSpec(), samples_per_state=1500, seed=9)
         c = estimate_q0(TclModelSpec(), samples_per_state=1500, seed=10)
-        assert np.array_equal(a.kernel.entries, b.kernel.entries)
-        assert not np.array_equal(a.kernel.entries, c.kernel.entries)
+        assert np.array_equal(a.entries, b.entries)
+        assert not np.array_equal(a.entries, c.entries)
 
     def test_zero_noise_boundary_point_masses(self):
         spec = TclModelSpec(noise_var=0.0)
-        q = estimate_q0(spec, samples_per_state=2000, seed=0).kernel.entries
+        q = estimate_q0(spec, samples_per_state=2000, seed=0).entries
         # idle drifts up: the top cell is absorbing under clamping; running
         # drifts down: the bottom cell is absorbing
         assert q[20, 20] == 1.0
@@ -373,7 +409,7 @@ class TestEstimateQ0:
         # with zero noise the landing cell is a deterministic function of
         # the geometric epoch length, so row moments follow from that law
         spec = TclModelSpec(noise_var=0.0)
-        q = estimate_q0(spec, samples_per_state=4000, seed=1).kernel.entries
+        q = estimate_q0(spec, samples_per_state=4000, seed=1).entries
         fall_on, rise_off = drift_per_step(spec, spec.broadcast_period_s)
         lengths = np.arange(1, 201)
         weights = spec.gamma * (1.0 - spec.gamma) ** (lengths - 1)
@@ -392,8 +428,8 @@ class TestEstimateQ0:
         spec = TclModelSpec()
 
         def tv_gap(n, s1, s2):
-            a = estimate_q0(spec, samples_per_state=n, seed=s1).kernel.entries
-            b = estimate_q0(spec, samples_per_state=n, seed=s2).kernel.entries
+            a = estimate_q0(spec, samples_per_state=n, seed=s1).entries
+            b = estimate_q0(spec, samples_per_state=n, seed=s2).entries
             return 0.5 * np.abs(a - b).sum(axis=1).max()
 
         # average a few independent pairs to stabilize the ratio near 1/sqrt(2)

@@ -18,9 +18,8 @@ import pytest
 from ddispatch.cli import Scenario
 from ddispatch.design import FamilyStructure, LoadStateSpace
 from ddispatch.linearize import FrequencyResponse, LinearModel
-from ddispatch.loads import (LoadModel, NatureKernel, PoolModelSpec, TclModelSpec,
-                             TclTrajectory)
-from ddispatch.markov import Pmf, Schedule, StateFunction, StochasticMatrix, _schedule
+from ddispatch.loads import LoadModel, PoolModelSpec, TclModelSpec, TclTrajectory
+from ddispatch.markov import Pmf, Schedule, StateFunction, StochasticMatrix, _record, _schedule
 from ddispatch.sim import FleetState, SignalSet, TrackingConfig
 
 PACKAGE = pathlib.Path(importlib.import_module("ddispatch").__file__).parent
@@ -45,7 +44,6 @@ def _examples():
         FrequencyResponse(np.array([0.0, math.pi]), np.ones(2), np.ones(2), 0.0, 1.0, 0.0,
                           0.0, "nominal"),
         PoolModelSpec(4, 12.0, 0.5, 5.0, 1.0, 2.0),
-        NatureKernel(two, {"method": "fit"}),
         LoadModel("pool", {"rungs": 1}, space, two, 0.5, {"note": 1}),
         TclModelSpec(*(f.default for f in dataclasses.fields(TclModelSpec))),
         TclTrajectory(*arrays),
@@ -142,15 +140,11 @@ def test_constructor_fills_defaults(obj):
 
 
 def test_factory_defaults():
-    two = StochasticMatrix([[0.5, 0.5], [0.25, 0.75]])
-    a, b = NatureKernel(two), NatureKernel(two)
-    assert a.provenance == {"method": "analytic"}
-    a.provenance["method"] = "changed"
-    assert b.provenance == {"method": "analytic"}
-    space = LoadStateSpace(2, 1, StateFunction([0.0, 1.0]))
-    model = LoadModel("pool", {}, space, two, 0.5)
-    assert model.diagnostics == {}
-    assert model.diagnostics is not LoadModel("pool", {}, space, two, 0.5).diagnostics
+    # a default built per instance is refused when the class is declared
+    with pytest.raises(TypeError, match="only a default"):
+        @_record
+        class Holder:
+            notes: dict = dataclasses.field(default_factory=dict)
 
 
 @pytest.mark.parametrize("obj", EXAMPLES, ids=_ids)
@@ -210,8 +204,9 @@ def test_signature_lists_the_fields(obj):
 
 
 def test_signature_text():
-    assert (str(inspect.signature(NatureKernel))
-            == "(kernel: 'StochasticMatrix', provenance: 'dict' = <factory>) -> None")
+    assert (str(inspect.signature(LoadStateSpace))
+            == "(n_control: 'int', n_exo: 'int', util: 'StateFunction', anchor: 'int' = 0, "
+               "exo_kernel: 'StochasticMatrix | None' = None) -> None")
     assert (str(inspect.signature(FamilyStructure))
             == "(sampling: 'str' = 'direct', gamma: 'float | None' = None) -> None")
 
@@ -227,8 +222,7 @@ def test_repr_text():
         (PoolModelSpec(rungs=4),
          "PoolModelSpec(rungs=4, cycle_hours=12.0, gamma=0.16666666666666666, "
          "slot_minutes=5.0, power_kw=1.0, hazard_shape=2.0)"),
-        (NatureKernel(two), "NatureKernel(kernel=StochasticMatrix(entries=array([[1.]])), "
-                            "provenance={'method': 'analytic'})"),
+        (two, "StochasticMatrix(entries=array([[1.]]))"),
         (FleetState([3, 0, 2]), "FleetState(counts=array([3, 0, 2]))"),
         (SignalSet(2.0, {"y": [1.0, 2.5]}),
          "SignalSet(period_s=2.0, samples={'y': array([1. , 2.5])})"),
